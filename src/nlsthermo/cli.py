@@ -48,6 +48,9 @@ from .fluctuation import (
 )
 from .genrand import GenerationError, MultiplicityError, random_gibbs_instance
 from .response import (
+    CLOSED_FORM_RTOL,
+    NONNEG_TOL,
+    NUMERIC_RTOL,
     cumulant_deviation,
     entropy_slope_numeric,
     slope_direct,
@@ -218,18 +221,18 @@ def _slope_checks(G: GibbsMatrix) -> list[InequalityReport]:
     fluctuation = slope_fluctuation(G)
     numeric = slope_numeric(G)
     scale = max(1.0, abs(direct))
-    tangent_gap = abs(slope_numeric(G) - entropy_slope_numeric(G))
+    tangent_gap = abs(numeric - entropy_slope_numeric(G))
     return [
         compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
-                abs(direct - symmetrized), 1e-9 * scale),
+                abs(direct - symmetrized), CLOSED_FORM_RTOL * scale),
         compare("slope agreement: |direct - fluctuation| <= 1e-9 max(1, |a|)",
-                abs(direct - fluctuation), 1e-9 * scale),
+                abs(direct - fluctuation), CLOSED_FORM_RTOL * scale),
         compare("slope agreement: |direct - numeric| <= 1e-4 max(1, |a|)",
-                abs(direct - numeric), 1e-4 * scale),
+                abs(direct - numeric), NUMERIC_RTOL * scale),
         compare("slope nonnegativity: -min(slopes) <= 1e-10",
-                -min(direct, symmetrized, fluctuation, numeric), 1e-10),
+                -min(direct, symmetrized, fluctuation, numeric), NONNEG_TOL),
         compare("common tangent: |slope(beta<dQ>) - slope(<dS>)| <= 1e-4",
-                tangent_gap, 1e-4),
+                tangent_gap, NUMERIC_RTOL),
     ]
 
 

@@ -28,8 +28,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._kernels import entropy_sum, expectation_sum, kl_sum
-
 __all__ = [
     "InvalidInputError",
     "EvaluationError",
@@ -341,6 +339,11 @@ def two_point_distribution(T: TransitionMatrix, p: ProbabilityVector) -> TwoPoin
 RandomVariable = Union[Callable[[int, int], float], np.ndarray]
 
 
+def _expectation_sum(joint: np.ndarray, values: np.ndarray) -> float:
+    """sum of joint[m,n] * values[m,n] over pairs with joint > 0."""
+    return float(np.sum(joint * np.where(joint > 0.0, values, 0.0)))
+
+
 def expectation(dist: TwoPointDistribution, rv: RandomVariable) -> float:
     """Expectation of a random variable over the two-point distribution.
 
@@ -369,7 +372,7 @@ def expectation(dist: TwoPointDistribution, rv: RandomVariable) -> float:
         m, n = np.argwhere(bad)[0]
         raise EvaluationError(
             f"random variable is not finite at outcome (m={int(m)}, n={int(n)})")
-    return float(expectation_sum(joint, np.where(support, values, 0.0)))
+    return _expectation_sum(joint, np.where(support, values, 0.0))
 
 
 def mean_energy(system: LevelSystem, p) -> float:
@@ -396,7 +399,9 @@ def entropy(system: LevelSystem, p) -> float:
     w = _weights_of(p)
     if w.shape[0] != system.size:
         raise InvalidInputError("distribution and level system sizes differ")
-    return float(entropy_sum(w, system.degeneracy_weights()))
+    mask = w > 0.0
+    wm = w[mask]
+    return float(-np.sum(wm * np.log(wm / system.degeneracy_weights()[mask])))
 
 
 def kl_divergence(q, p) -> float:
@@ -409,7 +414,11 @@ def kl_divergence(q, p) -> float:
     pw = _weights_of(p)
     if qw.shape != pw.shape:
         raise InvalidInputError("distributions have mismatched sizes")
-    return float(kl_sum(qw, pw))
+    mask = qw > 0.0
+    if np.any(pw[mask] == 0.0):
+        return float("inf")
+    qm = qw[mask]
+    return float(np.sum(qm * np.log(qm / pw[mask])))
 
 
 # ---------------------------------------------------------------------------

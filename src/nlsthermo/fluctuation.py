@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import general_j_sum, j_heat_sum
 from .core import (
     EvaluationError,
     GibbsMatrix,
@@ -34,6 +33,7 @@ from .core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
+    _weights_of,
     entropy,
     gibbs_log_weights,
     kl_divergence,
@@ -92,6 +92,16 @@ class ClausiusBounds:
     upper: InequalityReport
 
 
+def _marginal_changes(T: TransitionMatrix, system: LevelSystem,
+                      beta: float) -> tuple[float, float]:
+    """(E(q) - E(p), S(q) - S(p)) for the Gibbs state p at ``beta`` and q = T p."""
+    p = make_gibbs_state(system, beta).probabilities
+    q = propagate(T, p)
+    de = mean_energy(system, q) - mean_energy(system, p)
+    ds = entropy(system, q) - entropy(system, p)
+    return de, ds
+
+
 def heat_and_entropy_change(G: GibbsMatrix, beta: float) -> tuple[float, float]:
     """(<dQ>, <dS>) for a Gibbs initial state at inverse temperature ``beta``.
 
@@ -99,11 +109,7 @@ def heat_and_entropy_change(G: GibbsMatrix, beta: float) -> tuple[float, float]:
     forms equal the expectations of the heat and entropy-increase random
     variables over the two-point distribution.
     """
-    p = make_gibbs_state(G.system, beta).probabilities
-    q = propagate(G.matrix, p)
-    dq = mean_energy(G.system, q) - mean_energy(G.system, p)
-    ds = entropy(G.system, q) - entropy(G.system, p)
-    return dq, ds
+    return _marginal_changes(G.matrix, G.system, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +124,9 @@ def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
     computed double sum is returned so callers can measure the floating-point
     deviation.
     """
-    pw = p.weights if isinstance(p, ProbabilityVector) else np.asarray(p, float)
-    p0w = p0.weights if isinstance(p0, ProbabilityVector) else np.asarray(p0, float)
-    ptw = ptilde.weights if isinstance(ptilde, ProbabilityVector) else \
-        np.asarray(ptilde, float)
+    pw = _weights_of(p)
+    p0w = _weights_of(p0)
+    ptw = _weights_of(ptilde)
     n = T.size
     if pw.shape[0] != n or p0w.shape[0] != n or ptw.shape[0] != n:
         raise InvalidInputError("distribution sizes do not match the matrix")
@@ -137,7 +142,11 @@ def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
         j = int(np.argmax(bad))
         raise EvaluationError(
             f"q0 vanishes on the positive-probability outcome j={j}")
-    return float(general_j_sum(T.entries, pw, p0w, ptw, q0))
+    t_entries = T.entries
+    rows, cols = np.nonzero(t_entries > 0.0)
+    terms = ((t_entries[rows, cols] * pw[cols])
+             * (p0w[cols] * ptw[rows]) / (q0[rows] * pw[cols]))
+    return float(np.sum(terms))
 
 
 def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
@@ -151,7 +160,12 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     """
     log_p, _ = gibbs_log_weights(G.system, beta)
     dbeta = float(beta) - G.beta0
-    return float(j_heat_sum(G.matrix.entries, log_p, G.system.energies, dbeta))
+    t_entries = G.matrix.entries
+    energies = G.system.energies
+    rows, cols = np.nonzero(t_entries > 0.0)
+    log_terms = (np.log(t_entries[rows, cols]) + log_p[cols]
+                 - dbeta * (energies[rows] - energies[cols]))
+    return float(np.sum(np.exp(log_terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +209,8 @@ def entropy_flow_check(G: GibbsMatrix, beta: float) -> InequalityReport:
 def kl_monotonicity_check(T: TransitionMatrix, p, p0) -> InequalityReport:
     """KL divergence contracts under any left stochastic map:
     S(Tp || Tp0) <= S(p || p0)."""
-    pw = p.weights if isinstance(p, ProbabilityVector) else np.asarray(p, float)
-    p0w = p0.weights if isinstance(p0, ProbabilityVector) else np.asarray(p0, float)
+    pw = _weights_of(p)
+    p0w = _weights_of(p0)
     if np.any(pw <= 0.0) or np.any(p0w <= 0.0):
         raise InvalidInputError("p and p0 must be strictly positive")
     q = propagate(T, ProbabilityVector(pw))
@@ -226,10 +240,7 @@ def bistochastic_work_check(T: TransitionMatrix, system: LevelSystem,
         raise InvalidInputError("bi-stochastic work bounds require beta >= 0")
     if T.size != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
-    p = make_gibbs_state(system, beta).probabilities
-    q = propagate(T, p)
-    ds = entropy(system, q) - entropy(system, p)
-    work = mean_energy(system, q) - mean_energy(system, p)
+    work, ds = _marginal_changes(T, system, beta)
     first = compare("entropy non-decrease: 0 <= <dS>", 0.0, ds)
     second = compare("work bound: <dS> <= beta <w>", ds, beta * work)
     return first, second

@@ -23,20 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import expectation_sum, slope_direct_sum, slope_symmetrized_sum
 from .core import (
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
+    _expectation_sum,
     delta_q_table,
-    entropy,
-    make_gibbs_state,
-    mean_energy,
-    propagate,
 )
-from .fluctuation import heat_and_entropy_change
+from .fluctuation import _marginal_changes, heat_and_entropy_change
 
 __all__ = [
     "SlopeBundle",
@@ -95,14 +91,28 @@ class SlopeBundle:
 
 def slope_direct(G: GibbsMatrix) -> float:
     """Tangent slope as the double sum over the stationary flow."""
-    return G.beta0 * float(slope_direct_sum(
-        G.matrix.entries, G.fixed_point.weights, G.system.energies))
+    energies = G.system.energies
+    gap = energies[None, :] - energies[:, None]
+    return G.beta0 * float(np.sum(
+        G.matrix.entries * (G.fixed_point.weights * energies)[None, :] * gap))
 
 
 def slope_symmetrized(G: GibbsMatrix) -> float:
     """Tangent slope as a sum of nonnegative terms (hence >= 0 exactly)."""
-    return G.beta0 * float(slope_symmetrized_sum(
-        G.matrix.entries, G.fixed_point.weights, G.system.energies))
+    energies = G.system.energies
+    flow = G.matrix.entries * G.fixed_point.weights[None, :]
+    gap2 = (energies[None, :] - energies[:, None]) ** 2
+    return G.beta0 * float(0.25 * np.sum((flow + flow.T) * gap2))
+
+
+def _heat_cumulants(G: GibbsMatrix):
+    """(joint, dQ table, k1, k2): the fixed-point two-point distribution and
+    the first two cumulants of the heat under it."""
+    joint = G.matrix.entries * G.fixed_point.weights[None, :]
+    dq = delta_q_table(G.system)
+    k1 = _expectation_sum(joint, dq)
+    k2 = _expectation_sum(joint, dq * dq) - k1 * k1
+    return joint, dq, k1, k2
 
 
 def slope_fluctuation(G: GibbsMatrix) -> float:
@@ -111,10 +121,7 @@ def slope_fluctuation(G: GibbsMatrix) -> float:
     The mean heat vanishes at beta0 up to rounding, so this is essentially
     (beta0 / 2) <dQ^2>.
     """
-    joint = G.matrix.entries * G.fixed_point.weights[None, :]
-    dq = delta_q_table(G.system)
-    k1 = float(expectation_sum(joint, dq))
-    k2 = float(expectation_sum(joint, dq * dq)) - k1 * k1
+    _, _, _, k2 = _heat_cumulants(G)
     return 0.5 * G.beta0 * k2
 
 
@@ -128,8 +135,9 @@ def _beta_heat(G: GibbsMatrix, beta: float) -> float:
     return beta * dq
 
 
-def slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
-    """Tangent slope by central finite difference of beta <dQ> at beta0."""
+def _fd_step(G: GibbsMatrix, h: float | None) -> float:
+    """The finite-difference step: the default, or ``h`` checked to lie in
+    [1e-6, 1e-2] * max(1, |beta0|)."""
     scale = max(1.0, abs(G.beta0))
     if h is None:
         h = default_fd_step(G.beta0)
@@ -137,6 +145,12 @@ def slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
     if not (1e-6 * scale <= h <= 1e-2 * scale):
         raise InvalidInputError(
             f"step must lie in [1e-6, 1e-2] * max(1, |beta0|), got {h!r}")
+    return h
+
+
+def slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
+    """Tangent slope by central finite difference of beta <dQ> at beta0."""
+    h = _fd_step(G, h)
     return (_beta_heat(G, G.beta0 + h) - _beta_heat(G, G.beta0 - h)) / (2.0 * h)
 
 
@@ -146,13 +160,7 @@ def entropy_slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
     Shares the tangent of beta <dQ> at beta0, so it must match
     :func:`slope_numeric` to finite-difference accuracy.
     """
-    scale = max(1.0, abs(G.beta0))
-    if h is None:
-        h = default_fd_step(G.beta0)
-    h = float(h)
-    if not (1e-6 * scale <= h <= 1e-2 * scale):
-        raise InvalidInputError(
-            f"step must lie in [1e-6, 1e-2] * max(1, |beta0|), got {h!r}")
+    h = _fd_step(G, h)
     _, ds_plus = heat_and_entropy_change(G, G.beta0 + h)
     _, ds_minus = heat_and_entropy_change(G, G.beta0 - h)
     return (ds_plus - ds_minus) / (2.0 * h)
@@ -181,11 +189,8 @@ def cumulant_deviation(G: GibbsMatrix, t: float) -> float:
     t = float(t)
     if abs(t) > 0.1:
         raise InvalidInputError("cumulant check is meant for |t| <= 0.1")
-    joint = G.matrix.entries * G.fixed_point.weights[None, :]
-    dq = delta_q_table(G.system)
-    k1 = float(expectation_sum(joint, dq))
-    k2 = float(expectation_sum(joint, dq * dq)) - k1 * k1
-    generating = math.log(float(expectation_sum(joint, np.exp(t * dq))))
+    joint, dq, k1, k2 = _heat_cumulants(G)
+    generating = math.log(_expectation_sum(joint, np.exp(t * dq)))
     return abs(generating - (k1 * t + 0.5 * k2 * t * t))
 
 
@@ -270,11 +275,7 @@ def clausius_equality_residual(gen: PerturbationGenerator, system: LevelSystem,
     if gen.size != system.size:
         raise InvalidInputError("generator and level system sizes differ")
     beta = float(beta)
-    T = perturbed_matrix(gen, eps)
-    p = make_gibbs_state(system, beta).probabilities
-    q = propagate(T, p)
-    ds = entropy(system, q) - entropy(system, p)
-    de = mean_energy(system, q) - mean_energy(system, p)
+    de, ds = _marginal_changes(perturbed_matrix(gen, eps), system, beta)
     return abs(ds - beta * de)
 
 

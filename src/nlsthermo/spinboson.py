@@ -29,17 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import lerch_series, projector_mixture
 from .core import (
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
-    entropy,
-    make_gibbs_state,
-    propagate,
 )
+from .fluctuation import heat_and_entropy_change
 
 __all__ = [
     "SpinBosonParams",
@@ -62,6 +59,9 @@ TAIL_TOL = 1e-12
 
 #: minimal eigenvalue separation tolerated inside one invariant block
 BLOCK_GAP_TOL = 1e-10
+
+#: iteration guard of the direct Lerch series
+_MAX_SERIES_TERMS = 10_000_000
 
 
 class DegenerateBlockError(ArithmeticError):
@@ -149,7 +149,12 @@ def triplet_eigenvalues(n: int, lam: float) -> np.ndarray:
 
 def lerch_phi(z: float, s: float, a: float) -> float:
     """Lerch's transcendent Phi(z, s, a) = sum_k z^k / (k + a)^s for |z| < 1,
-    a > 0, by direct series summation."""
+    a > 0, by direct series summation.
+
+    Stops once the latest term drops below 1e-16 of the running sum (after at
+    least 10 terms); raises :class:`EvaluationError` when the sum is not
+    finite or the iteration guard is exhausted.
+    """
     z = float(z)
     s = float(s)
     a = float(a)
@@ -157,10 +162,19 @@ def lerch_phi(z: float, s: float, a: float) -> float:
         raise InvalidInputError("lerch_phi requires |z| < 1")
     if not (a > 0.0):
         raise InvalidInputError("lerch_phi requires a > 0")
-    value = float(lerch_series(z, s, a))
-    if not math.isfinite(value):
+    acc = 0.0
+    zk = 1.0
+    for k in range(_MAX_SERIES_TERMS):
+        term = zk / (k + a) ** s
+        acc += term
+        if k >= 10 and abs(term) <= 1e-16 * abs(acc):
+            break
+        zk *= z
+    else:
+        acc = float("nan")
+    if not math.isfinite(acc):
         raise EvaluationError("Lerch series did not converge")
-    return value
+    return acc
 
 
 def spin1_level_system() -> LevelSystem:
@@ -217,15 +231,17 @@ def spin1_gibbs_matrix(beta0: float) -> GibbsMatrix:
 def _block_mixture(block: np.ndarray) -> np.ndarray:
     """Within-block transition kernel of the exact time average.
 
-    Diagonalizes the real symmetric block and sums eigenprojector sandwiches;
-    valid only for a simple spectrum, so near-collisions are rejected.
+    Diagonalizes the real symmetric block and sums eigenprojector sandwiches,
+    M[j,i] = sum_k V[i,k]^2 V[j,k]^2; valid only for a simple spectrum, so
+    near-collisions are rejected.
     """
     evals, vecs = np.linalg.eigh(block)
     if block.shape[0] > 1 and np.min(np.diff(evals)) < BLOCK_GAP_TOL:
         raise DegenerateBlockError(
             f"block eigenvalues closer than {BLOCK_GAP_TOL:g}; "
             "time average is ill-defined")
-    return projector_mixture(vecs)
+    w = vecs * vecs
+    return w @ w.T
 
 
 def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
@@ -284,12 +300,9 @@ def delta_s_argmax(beta0: float, tol: float = 1e-6) -> float:
     if not math.isfinite(beta0) or beta0 <= 0.0:
         raise InvalidInputError("beta0 must be positive and finite")
     G = spin1_gibbs_matrix(beta0)
-    system = G.system
 
     def magnitude(beta: float) -> float:
-        p = make_gibbs_state(system, beta).probabilities
-        q = propagate(G.matrix, p)
-        return abs(entropy(system, q) - entropy(system, p))
+        return abs(heat_and_entropy_change(G, beta)[1])
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, beta0

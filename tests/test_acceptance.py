@@ -3,9 +3,6 @@
 Each criterion is one test; ``pytest -v tests/test_acceptance.py`` therefore
 prints one pass/fail line per criterion, and each test additionally prints a
 one-line summary of what it measured (visible with ``-s``).
-
-Runtime-limited criteria time only the computation; JIT compilation is paid
-once in the session-level warmup fixture.
 """
 
 import json

@@ -225,6 +225,13 @@ class TestExpectation:
         expectation(dist, rv)
         assert seen == [(0, 0), (1, 1), (2, 2)]
 
+    def test_table_nonfinite_values_off_support_are_skipped(self):
+        system = uniform_system(2)
+        dist = two_point_distribution(TransitionMatrix(np.eye(2)),
+                                      make_gibbs_state(system, 0.0).probabilities)
+        values = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        assert expectation(dist, values) == 1.0
+
     def test_nonfinite_rv_on_support_is_reported(self):
         T = random_stochastic(3, 1)
         p = make_gibbs_state(uniform_system(3), 0.0).probabilities

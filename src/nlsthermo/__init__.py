@@ -19,88 +19,12 @@ matrix with a Gibbs fixed point:
   command-line interface (:mod:`nlsthermo.cli`).
 """
 
-from .core import (
-    CertificationError,
-    EvaluationError,
-    GibbsCertificate,
-    GibbsMatrix,
-    GibbsState,
-    InvalidInputError,
-    LevelSystem,
-    ProbabilityVector,
-    TransitionMatrix,
-    TwoPointDistribution,
-    certify_gibbs_matrix,
-    delta_q_rv,
-    delta_q_table,
-    delta_s_rv,
-    delta_s_table,
-    entropy,
-    expectation,
-    gibbs_log_weights,
-    instance_from_dict,
-    instance_to_dict,
-    kl_divergence,
-    load_instance,
-    make_gibbs_state,
-    mean_energy,
-    propagate,
-    save_instance,
-    second_moment_energy,
-    two_point_distribution,
-)
-from .fluctuation import (
-    ClausiusBounds,
-    InequalityReport,
-    bistochastic_work_check,
-    clausius_bounds,
-    entropy_flow_check,
-    general_j_expectation,
-    heat_and_entropy_change,
-    heat_flow_check,
-    j_heat_expectation,
-    kl_monotonicity_check,
-)
-from .genrand import (
-    GenerationError,
-    MultiplicityError,
-    RandomInstance,
-    random_gibbs_instance,
-    random_stochastic,
-    stationary_distribution,
-)
-from .response import (
-    PerturbationGenerator,
-    SlopeBundle,
-    WeakCouplingFit,
-    clausius_equality_residual,
-    cumulant_check,
-    cumulant_deviation,
-    entropy_slope_numeric,
-    newton_cooling_coefficient,
-    perturbed_matrix,
-    random_perturbation,
-    slope_bundle,
-    slope_direct,
-    slope_fluctuation,
-    slope_numeric,
-    slope_symmetrized,
-    weak_coupling_residual,
-)
-from .spinboson import (
-    DegenerateBlockError,
-    SpinBosonParams,
-    TripletBlock,
-    analytic_transition_matrix,
-    delta_s_argmax,
-    fock_cutoff,
-    lerch_phi,
-    numerical_transition_matrix,
-    spin1_gibbs_matrix,
-    spin1_level_system,
-    triplet_block,
-    triplet_eigenvalues,
-)
+# each module's ``__all__`` is the one list of its public names
+from .core import *  # noqa: F401,F403
+from .fluctuation import *  # noqa: F401,F403
+from .genrand import *  # noqa: F401,F403
+from .response import *  # noqa: F401,F403
+from .spinboson import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 

@@ -33,31 +33,10 @@ from .core import (
     certify_gibbs_matrix,
     instance_to_dict,
     load_instance,
-    make_gibbs_state,
-    propagate,
 )
-from .fluctuation import (
-    SLACK_TOL,
-    InequalityReport,
-    clausius_bounds,
-    compare,
-    general_j_expectation,
-    heat_and_entropy_change,
-    j_heat_expectation,
-    kl_monotonicity_check,
-)
+from .fluctuation import SLACK_TOL, compare, grid_pass, inequality_suite, jequation_suite
 from .genrand import GenerationError, MultiplicityError, random_gibbs_instance
-from .response import (
-    CLOSED_FORM_RTOL,
-    NONNEG_TOL,
-    NUMERIC_RTOL,
-    cumulant_deviation,
-    entropy_slope_numeric,
-    slope_direct,
-    slope_fluctuation,
-    slope_numeric,
-    slope_symmetrized,
-)
+from .response import cumulant_suite, slope_suite
 from .spinboson import (
     DegenerateBlockError,
     SpinBosonParams,
@@ -72,7 +51,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-J_EQUATION_TOL = 1e-10
 SUITES = ("jequation", "inequalities", "slopes", "cumulant")
 
 
@@ -98,16 +76,10 @@ class SweepRecord:
 
 def sweep_records(G: GibbsMatrix, betas) -> list[SweepRecord]:
     """Evaluate the three swept quantities on a beta grid, in grid order."""
-    records = []
-    for beta in betas:
-        bounds = clausius_bounds(G, float(beta))
-        records.append(SweepRecord(
-            beta=float(beta),
-            beta_dQ=bounds.beta_heat,
-            beta0_dQ=bounds.beta0_heat,
-            dS=bounds.entropy_increase,
-        ))
-    return records
+    grid = grid_pass(G, betas)
+    return [SweepRecord(beta=beta, beta_dQ=beta * dq, beta0_dQ=G.beta0 * dq, dS=ds)
+            for beta, dq, ds in zip(grid.betas.tolist(), grid.dq.tolist(),
+                                    grid.ds.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +88,7 @@ def sweep_records(G: GibbsMatrix, betas) -> list[SweepRecord]:
 
 def _resolve_source(args):
     """Build (system, raw matrix, beta0, descriptor) from the source flags."""
-    picked = [name for name, flag in (
-        ("--input", args.input is not None),
-        ("--random", args.random is not None),
-        ("--example", args.example is not None),
-    ) if flag]
-    if len(picked) != 1:
+    if sum(source is not None for source in (args.input, args.random, args.example)) != 1:
         raise InvalidInputError(
             "exactly one instance source is required: --input PATH, "
             "--random N, or --example spin1")
@@ -158,98 +125,6 @@ def _write_text(text: str, out) -> None:
             fh.write(text)
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-def _worst(reports: list[InequalityReport], label: str) -> InequalityReport:
-    worst = min(reports, key=lambda r: r.slack)
-    return InequalityReport(label=f"{label} [{worst.label}]", lhs=worst.lhs,
-                            rhs=worst.rhs, slack=worst.slack, holds=worst.holds)
-
-
-def _jequation_checks(G: GibbsMatrix, betas) -> list[InequalityReport]:
-    heat_dev = 0.0
-    general_dev = 0.0
-    for beta in betas:
-        heat_dev = max(heat_dev, abs(j_heat_expectation(G, beta) - 1.0))
-        p = make_gibbs_state(G.system, beta).probabilities
-        if float(p.weights.min()) > 0.0:
-            q = propagate(G.matrix, p)
-            value = general_j_expectation(G.matrix, p, G.fixed_point, q)
-            general_dev = max(general_dev, abs(value - 1.0))
-    return [
-        compare("j-equation (heat): max |<e^{-(beta-beta0) dQ}> - 1| over grid",
-                heat_dev, J_EQUATION_TOL),
-        compare("j-equation (general, ptilde = q): max |value - 1| over grid",
-                general_dev, J_EQUATION_TOL),
-    ]
-
-
-def _inequality_checks(G: GibbsMatrix, betas) -> list[InequalityReport]:
-    heat_flow, lower, upper, entropy_flow, contraction = [], [], [], [], []
-    for beta in betas:
-        beta = float(beta)
-        at = f"beta={beta:.17g}"
-        dq, ds = heat_and_entropy_change(G, beta)
-        heat_flow.append(compare(at, 0.0, (beta - G.beta0) * dq))
-        lower.append(compare(at, G.beta0 * dq, ds))
-        upper.append(compare(at, ds, beta * dq))
-        if beta >= 0.0 and G.beta0 > 0.0:
-            entropy_flow.append(compare(at, 0.0, (beta - G.beta0) * ds))
-        p = make_gibbs_state(G.system, beta).probabilities
-        if float(p.weights.min()) > 0.0:
-            report = kl_monotonicity_check(G.matrix, p, G.fixed_point)
-            contraction.append(compare(at, report.lhs, report.rhs))
-    checks = [
-        _worst(heat_flow, "heat flow direction: worst (beta-beta0)<dQ> over grid"),
-        _worst(lower, "clausius lower bound: worst slack of beta0<dQ> <= <dS>"),
-        _worst(upper, "clausius upper bound: worst slack of <dS> <= beta<dQ>"),
-    ]
-    if entropy_flow:
-        checks.append(_worst(
-            entropy_flow, "entropy flow direction: worst (beta-beta0)<dS>, beta >= 0"))
-    if contraction:
-        checks.append(_worst(
-            contraction, "KL contraction: worst slack of S(Tp||Tp0) <= S(p||p0)"))
-    return checks
-
-
-def _slope_checks(G: GibbsMatrix) -> list[InequalityReport]:
-    direct = slope_direct(G)
-    symmetrized = slope_symmetrized(G)
-    fluctuation = slope_fluctuation(G)
-    numeric = slope_numeric(G)
-    scale = max(1.0, abs(direct))
-    tangent_gap = abs(numeric - entropy_slope_numeric(G))
-    return [
-        compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
-                abs(direct - symmetrized), CLOSED_FORM_RTOL * scale),
-        compare("slope agreement: |direct - fluctuation| <= 1e-9 max(1, |a|)",
-                abs(direct - fluctuation), CLOSED_FORM_RTOL * scale),
-        compare("slope agreement: |direct - numeric| <= 1e-4 max(1, |a|)",
-                abs(direct - numeric), NUMERIC_RTOL * scale),
-        compare("slope nonnegativity: -min(slopes) <= 1e-10",
-                -min(direct, symmetrized, fluctuation, numeric), NONNEG_TOL),
-        compare("common tangent: |slope(beta<dQ>) - slope(<dS>)| <= 1e-4",
-                tangent_gap, NUMERIC_RTOL),
-    ]
-
-
-def _cumulant_checks(G: GibbsMatrix) -> list[InequalityReport]:
-    # two-sided max per |t|: the odd and even parts of the remainder add in
-    # magnitude on one of the two sides, so no cancellation can distort the fit
-    t_grid = (0.1, 0.05, 0.025)
-    residuals = [max(cumulant_deviation(G, t), cumulant_deviation(G, -t))
-                 for t in t_grid]
-    if max(residuals) <= 1e-13:
-        return [compare("cumulant truncation: residuals at rounding floor",
-                        max(residuals), 1e-13)]
-    exponent = float(np.polyfit(np.log(t_grid), np.log(residuals), 1)[0])
-    return [compare("cumulant truncation: fitted residual exponent >= 2.5",
-                    2.5, exponent)]
-
-
 def _run_verify(system, raw, beta0, betas, suites):
     cert = certify_gibbs_matrix(raw, system, beta0)
     checks = [
@@ -261,14 +136,16 @@ def _run_verify(system, raw, beta0, betas, suites):
     ]
     if cert.passed:
         G = GibbsMatrix(TransitionMatrix(raw), system, beta0)
+        if "jequation" in suites or "inequalities" in suites:
+            grid = grid_pass(G, betas, identities=True)
         if "jequation" in suites:
-            checks += _jequation_checks(G, betas)
+            checks += jequation_suite(grid)
         if "inequalities" in suites:
-            checks += _inequality_checks(G, betas)
+            checks += inequality_suite(grid)
         if "slopes" in suites:
-            checks += _slope_checks(G)
+            checks += slope_suite(G)
         if "cumulant" in suites:
-            checks += _cumulant_checks(G)
+            checks += cumulant_suite(G)
     return checks
 
 
@@ -356,12 +233,19 @@ def _instance_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be nonnegative")
+    return value
+
+
 def _add_source_options(sub) -> None:
     sub.add_argument("--input", metavar="PATH",
                      help="instance JSON file (energies, degeneracies, transition, beta0)")
     sub.add_argument("--random", metavar="N", type=_instance_count,
                      help="seeded random Gibbs-matrix instance with N levels")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_seed, default=0,
                      help="seed for --random (default 0)")
     sub.add_argument("--example", choices=["spin1"],
                      help="built-in example instance")
@@ -406,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser(
         "gen", help="write a seeded random Gibbs-matrix instance as JSON")
     gen.add_argument("n", type=_instance_count, help="number of levels (>= 2)")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    gen.add_argument("--seed", type=_seed, default=0, help="generator seed (default 0)")
     gen.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     gen.set_defaults(func=cmd_gen)
 

@@ -304,10 +304,12 @@ def make_gibbs_state(system: LevelSystem, beta: float) -> GibbsState:
     log_p, log_z = gibbs_log_weights(system, beta)
     w = np.exp(log_p)
     w = w / w.sum()
+    with np.errstate(over="ignore"):  # Z past DBL_MAX is reported as inf
+        partition_function = float(np.exp(log_z))
     return GibbsState(
         beta=float(beta),
         probabilities=ProbabilityVector(w),
-        partition_function=float(np.exp(log_z)),
+        partition_function=partition_function,
         log_partition_function=float(log_z),
         log_probabilities=_freeze(log_p),
     )

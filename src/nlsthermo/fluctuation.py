@@ -18,6 +18,11 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 ``beta0 <dQ> <= <dS> <= beta <dQ>``, directed entropy flow for nonnegative
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
+
+:func:`grid_pass` evaluates the per-point quantities over a whole beta grid,
+building each Gibbs state and its image once; the verification suites
+:func:`jequation_suite` and :func:`inequality_suite` reduce its arrays to
+worst-case reports.
 """
 
 from __future__ import annotations
@@ -44,8 +49,10 @@ from .core import (
 
 __all__ = [
     "SLACK_TOL",
+    "J_EQUATION_TOL",
     "InequalityReport",
     "ClausiusBounds",
+    "GridPass",
     "compare",
     "heat_and_entropy_change",
     "general_j_expectation",
@@ -55,10 +62,16 @@ __all__ = [
     "entropy_flow_check",
     "kl_monotonicity_check",
     "bistochastic_work_check",
+    "grid_pass",
+    "jequation_suite",
+    "inequality_suite",
 ]
 
 #: one-sided slack allowed below zero before an inequality counts as violated
 SLACK_TOL = 1e-12
+
+#: J-equation values may deviate from one by at most this much over a grid
+J_EQUATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,19 @@ def heat_and_entropy_change(G: GibbsMatrix, beta: float) -> tuple[float, float]:
 # J-equations
 # ---------------------------------------------------------------------------
 
+def _image_of_positive(T: TransitionMatrix, p0w: np.ndarray) -> np.ndarray:
+    """q0 = T p0 for a strictly positive ``p0``, unclipped."""
+    q0 = T.entries @ p0w
+    # with p0 > 0, q0_j = 0 forces row j of T to vanish, which removes all
+    # probability from outcome j; anything else is a defective input
+    bad = (q0 == 0.0) & (T.entries.max(axis=1) > 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise EvaluationError(
+            f"q0 vanishes on the positive-probability outcome j={j}")
+    return q0
+
+
 def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
     """Expectation of p0_i ptilde_j / (q0_j p_i) under P(i, j) = T[j, i] p_i.
 
@@ -134,14 +160,7 @@ def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
         raise InvalidInputError("p must be strictly positive")
     if np.any(p0w <= 0.0):
         raise InvalidInputError("p0 must be strictly positive")
-    q0 = T.entries @ p0w
-    # with p0 > 0, q0_j = 0 forces row j of T to vanish, which removes all
-    # probability from outcome j; anything else is a defective input
-    bad = (q0 == 0.0) & (T.entries.max(axis=1) > 0.0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise EvaluationError(
-            f"q0 vanishes on the positive-probability outcome j={j}")
+    q0 = _image_of_positive(T, p0w)
     t_entries = T.entries
     rows, cols = np.nonzero(t_entries > 0.0)
     terms = ((t_entries[rows, cols] * pw[cols])
@@ -244,3 +263,114 @@ def bistochastic_work_check(T: TransitionMatrix, system: LevelSystem,
     first = compare("entropy non-decrease: 0 <= <dS>", 0.0, ds)
     second = compare("work bound: <dS> <= beta <w>", ds, beta * work)
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# one pass over a beta grid, and the suites reduced from it
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class GridPass:
+    """Per-point arrays of :func:`grid_pass`: <dQ> and <dS> everywhere and,
+    with identities, the heat J value everywhere plus the general J value
+    (ptilde = q) and the KL sides S(Tp || Tp0), S(p || p0) where p > 0
+    everywhere (``positive``), NaN elsewhere."""
+
+    beta0: float
+    betas: np.ndarray
+    dq: np.ndarray
+    ds: np.ndarray
+    positive: np.ndarray | None = None
+    j_heat: np.ndarray | None = None
+    j_general: np.ndarray | None = None
+    kl_after: np.ndarray | None = None
+    kl_before: np.ndarray | None = None
+
+
+def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
+    """Evaluate a beta grid building the Gibbs state p and q = T p once per
+    point, with the operations of the per-point functions, so each value
+    equals theirs bit for bit: :func:`heat_and_entropy_change` and, with
+    ``identities``, :func:`j_heat_expectation`, :func:`general_j_expectation`
+    with ptilde = q, and both sides of :func:`kl_monotonicity_check`."""
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 1:
+        raise InvalidInputError("betas must be a 1-D grid")
+    system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
+    dq, ds = np.empty(size), np.empty(size)
+    if identities:
+        p0 = G.fixed_point.weights
+        if np.any(p0 <= 0.0):
+            raise InvalidInputError("p0 must be strictly positive")
+        q0 = _image_of_positive(G.matrix, p0)
+        q0_clipped = np.clip(q0, 0.0, 1.0)
+        rows, cols = np.nonzero(t_entries > 0.0)
+        t_support, p0_cols, q0_rows = t_entries[rows, cols], p0[cols], q0[rows]
+        log_t = np.log(t_support)
+        gap = system.energies[rows] - system.energies[cols]
+        positive = np.zeros(size, dtype=bool)
+        j_heat = np.empty(size)
+        j_general, kl_after, kl_before = (np.full(size, np.nan) for _ in range(3))
+    for i, beta in enumerate(betas.tolist()):
+        log_p, _ = gibbs_log_weights(system, beta)
+        p = np.exp(log_p)
+        p = p / p.sum()
+        q = np.clip(t_entries @ p, 0.0, 1.0)
+        dq[i] = mean_energy(system, q) - mean_energy(system, p)
+        ds[i] = entropy(system, q) - entropy(system, p)
+        if not identities:
+            continue
+        j_heat[i] = float(np.sum(np.exp(log_t + log_p[cols] - (beta - G.beta0) * gap)))
+        if float(p.min()) > 0.0:
+            positive[i] = True
+            j_general[i] = float(np.sum((t_support * p[cols]) * (p0_cols * q[rows])
+                                        / (q0_rows * p[cols])))
+            kl_after[i] = kl_divergence(q, q0_clipped)
+            kl_before[i] = kl_divergence(p, p0)
+    extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
+    return GridPass(G.beta0, betas, dq, ds, *extras)
+
+
+def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
+    """Report ``lhs <= rhs`` at the first grid point of least slack."""
+    slack = (rhs - lhs).tolist()
+    i = min(range(len(slack)), key=slack.__getitem__)
+    return compare(f"{label} [beta={betas[i]:.17g}]", lhs[i], rhs[i])
+
+
+def jequation_suite(grid: GridPass) -> list[InequalityReport]:
+    """Largest |value - 1| of both J-equations over a pass with identities
+    (0 for an empty set; NaN values never count)."""
+    heat, general = ([0.0, *np.abs(j - 1.0).tolist()]
+                     for j in (grid.j_heat, grid.j_general[grid.positive]))
+    return [
+        compare("j-equation (heat): max |<e^{-(beta-beta0) dQ}> - 1| over grid",
+                max(heat), J_EQUATION_TOL),
+        compare("j-equation (general, ptilde = q): max |value - 1| over grid",
+                max(general), J_EQUATION_TOL),
+    ]
+
+
+def inequality_suite(grid: GridPass) -> list[InequalityReport]:
+    """Worst slack of each inequality over a pass with identities.  Entropy
+    flow is checked where beta >= 0 (if beta0 > 0), KL contraction where
+    p > 0; an inequality is left out when no point qualifies."""
+    betas, dq, ds, beta0 = grid.betas, grid.dq, grid.ds, grid.beta0
+    every = np.ones(betas.shape, dtype=bool)
+    zero = np.zeros(betas.shape)
+    # inf and NaN pass through silently, as in scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = [
+            ("heat flow direction: worst (beta-beta0)<dQ> over grid",
+             every, zero, (betas - beta0) * dq),
+            ("clausius lower bound: worst slack of beta0<dQ> <= <dS>",
+             every, beta0 * dq, ds),
+            ("clausius upper bound: worst slack of <dS> <= beta<dQ>",
+             every, ds, betas * dq),
+            ("entropy flow direction: worst (beta-beta0)<dS>, beta >= 0",
+             (betas >= 0.0) & (beta0 > 0.0), zero, (betas - beta0) * ds),
+            ("KL contraction: worst slack of S(Tp||Tp0) <= S(p||p0)",
+             grid.positive, grid.kl_after, grid.kl_before),
+        ]
+        return [_worst(label, betas[at], lhs[at], rhs[at])
+                for label, at, lhs, rhs in table if at.any()]

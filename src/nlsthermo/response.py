@@ -32,7 +32,7 @@ from .core import (
     _expectation_sum,
     delta_q_table,
 )
-from .fluctuation import _marginal_changes, heat_and_entropy_change
+from .fluctuation import InequalityReport, _marginal_changes, compare, heat_and_entropy_change
 
 __all__ = [
     "SlopeBundle",
@@ -47,6 +47,8 @@ __all__ = [
     "default_fd_step",
     "cumulant_deviation",
     "cumulant_check",
+    "slope_suite",
+    "cumulant_suite",
     "newton_cooling_coefficient",
     "random_perturbation",
     "perturbed_matrix",
@@ -79,14 +81,39 @@ class SlopeBundle:
     numeric: float
 
     def __post_init__(self):
-        scale = max(1.0, abs(self.direct))
-        if min(self.direct, self.symmetrized, self.fluctuation, self.numeric) < -NONNEG_TOL:
+        # strict: any negative slack raises, without the reports' SLACK_TOL
+        symmetrized, fluctuation, numeric, nonnegative = _slope_reports(
+            self.direct, self.symmetrized, self.fluctuation, self.numeric)
+        if nonnegative.slack < 0.0:
             raise EvaluationError("tangent slope came out negative")
-        if abs(self.direct - self.symmetrized) > CLOSED_FORM_RTOL * scale or \
-                abs(self.direct - self.fluctuation) > CLOSED_FORM_RTOL * scale:
+        if symmetrized.slack < 0.0 or fluctuation.slack < 0.0:
             raise EvaluationError("closed-form slope routes disagree")
-        if abs(self.direct - self.numeric) > NUMERIC_RTOL * scale:
+        if numeric.slack < 0.0:
             raise EvaluationError("finite-difference slope disagrees with the closed forms")
+
+
+def _slope_reports(direct: float, symmetrized: float, fluctuation: float,
+                   numeric: float, entropy_numeric: float | None = None
+                   ) -> list[InequalityReport]:
+    """The slope comparisons, each tolerance applied here only: both closed
+    forms and the finite difference against ``direct``, nonnegativity, and,
+    given the finite-difference slope of <dS>, the common tangent."""
+    scale = max(1.0, abs(direct))
+    reports = [
+        compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
+                abs(direct - symmetrized), CLOSED_FORM_RTOL * scale),
+        compare("slope agreement: |direct - fluctuation| <= 1e-9 max(1, |a|)",
+                abs(direct - fluctuation), CLOSED_FORM_RTOL * scale),
+        compare("slope agreement: |direct - numeric| <= 1e-4 max(1, |a|)",
+                abs(direct - numeric), NUMERIC_RTOL * scale),
+        compare("slope nonnegativity: -min(slopes) <= 1e-10",
+                -min(direct, symmetrized, fluctuation, numeric), NONNEG_TOL),
+    ]
+    if entropy_numeric is not None:
+        reports.append(compare(
+            "common tangent: |slope(beta<dQ>) - slope(<dS>)| <= 1e-4",
+            abs(numeric - entropy_numeric), NUMERIC_RTOL))
+    return reports
 
 
 def slope_direct(G: GibbsMatrix) -> float:
@@ -130,11 +157,6 @@ def default_fd_step(beta0: float) -> float:
     return 1e-4 * max(1.0, abs(beta0))
 
 
-def _beta_heat(G: GibbsMatrix, beta: float) -> float:
-    dq, _ = heat_and_entropy_change(G, beta)
-    return beta * dq
-
-
 def _fd_step(G: GibbsMatrix, h: float | None) -> float:
     """The finite-difference step: the default, or ``h`` checked to lie in
     [1e-6, 1e-2] * max(1, |beta0|)."""
@@ -148,10 +170,20 @@ def _fd_step(G: GibbsMatrix, h: float | None) -> float:
     return h
 
 
+def _fd_slopes(G: GibbsMatrix, h: float | None) -> tuple[float, float]:
+    """Central differences of beta <dQ> and of <dS> at beta0, both from one
+    pair of evaluations at beta0 +/- h."""
+    h = _fd_step(G, h)
+    plus, minus = G.beta0 + h, G.beta0 - h
+    dq_plus, ds_plus = heat_and_entropy_change(G, plus)
+    dq_minus, ds_minus = heat_and_entropy_change(G, minus)
+    return ((plus * dq_plus - minus * dq_minus) / (2.0 * h),
+            (ds_plus - ds_minus) / (2.0 * h))
+
+
 def slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
     """Tangent slope by central finite difference of beta <dQ> at beta0."""
-    h = _fd_step(G, h)
-    return (_beta_heat(G, G.beta0 + h) - _beta_heat(G, G.beta0 - h)) / (2.0 * h)
+    return _fd_slopes(G, h)[0]
 
 
 def entropy_slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
@@ -160,10 +192,7 @@ def entropy_slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
     Shares the tangent of beta <dQ> at beta0, so it must match
     :func:`slope_numeric` to finite-difference accuracy.
     """
-    h = _fd_step(G, h)
-    _, ds_plus = heat_and_entropy_change(G, G.beta0 + h)
-    _, ds_minus = heat_and_entropy_change(G, G.beta0 - h)
-    return (ds_plus - ds_minus) / (2.0 * h)
+    return _fd_slopes(G, h)[1]
 
 
 def slope_bundle(G: GibbsMatrix, h: float | None = None) -> SlopeBundle:
@@ -174,6 +203,14 @@ def slope_bundle(G: GibbsMatrix, h: float | None = None) -> SlopeBundle:
         fluctuation=slope_fluctuation(G),
         numeric=slope_numeric(G, h),
     )
+
+
+def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
+    """The slope comparisons of :class:`SlopeBundle` plus the common tangent,
+    reported rather than raised."""
+    numeric, entropy_numeric = _fd_slopes(G, None)
+    return _slope_reports(slope_direct(G), slope_symmetrized(G),
+                          slope_fluctuation(G), numeric, entropy_numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +235,22 @@ def cumulant_check(G: GibbsMatrix, t_values) -> float:
     """Max truncation deviation of the second-order cumulant expansion over
     the given t grid."""
     return max(cumulant_deviation(G, t) for t in t_values)
+
+
+def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
+    """Truncation order of the second-order cumulant expansion: residuals at
+    the rounding floor, or a fitted log-log exponent of at least 2.5."""
+    # two-sided max per |t|: the odd and even parts of the remainder add in
+    # magnitude on one of the two sides, so no cancellation can distort the fit
+    t_grid = (0.1, 0.05, 0.025)
+    residuals = [max(cumulant_deviation(G, t), cumulant_deviation(G, -t))
+                 for t in t_grid]
+    if max(residuals) <= 1e-13:
+        return [compare("cumulant truncation: residuals at rounding floor",
+                        max(residuals), 1e-13)]
+    exponent = float(np.polyfit(np.log(t_grid), np.log(residuals), 1)[0])
+    return [compare("cumulant truncation: fitted residual exponent >= 2.5",
+                    2.5, exponent)]
 
 
 def newton_cooling_coefficient(G: GibbsMatrix) -> float:

@@ -25,6 +25,7 @@ coupling strength, which the tests use as a consistency knob.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "TripletBlock",
     "DegenerateBlockError",
     "TAIL_TOL",
+    "MAX_BETA0",
     "fock_cutoff",
     "lerch_phi",
     "spin1_level_system",
@@ -62,6 +64,9 @@ BLOCK_GAP_TOL = 1e-10
 
 #: iteration guard of the direct Lerch series
 _MAX_SERIES_TERMS = 10_000_000
+
+#: largest beta0 whose closed form stays representable: e^{3 beta0} <= DBL_MAX
+MAX_BETA0 = math.log(sys.float_info.max) / 3.0
 
 
 class DegenerateBlockError(ArithmeticError):
@@ -189,11 +194,12 @@ def analytic_transition_matrix(beta0: float) -> TransitionMatrix:
     Index order (1, 0, -1) for both rows and columns.  The middle entry is
     exactly 1/2 for every bath temperature.  coth^-1(e^{beta0/2}) equals
     atanh(e^{-beta0/2}) on this domain, so one inverse hyperbolic function
-    covers all entries.
+    covers all entries.  Defined for 0 < beta0 <= :data:`MAX_BETA0`.
     """
     beta0 = float(beta0)
-    if not math.isfinite(beta0) or beta0 <= 0.0:
-        raise InvalidInputError("beta0 must be positive and finite")
+    if not 0.0 < beta0 <= MAX_BETA0:
+        raise InvalidInputError(
+            f"beta0 must lie in (0, log(DBL_MAX)/3 = {MAX_BETA0!r}], got {beta0!r}")
     x = math.exp(beta0)
     h = math.exp(0.5 * beta0)
     u = math.atanh(1.0 / h)

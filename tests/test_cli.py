@@ -43,6 +43,15 @@ class TestGen:
         result = run_process("gen", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("argv", [("gen", "3", "--seed", "-1"),
+                                      ("verify", "--random", "3", "--seed", "-1"),
+                                      ("sweep", "--random", "3", "--seed", "-1")])
+    def test_negative_seed_is_a_usage_error(self, argv):
+        result = run_process(*argv)
+        assert result.returncode == 2
+        assert "seed must be nonnegative" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_gen_then_verify_round_trips(self, tmp_path):
         out = tmp_path / "inst.json"
         run_cli("gen", "4", "--seed", "11", "--out", str(out))
@@ -67,6 +76,13 @@ class TestExample:
 
     def test_nonpositive_beta0_is_an_input_error(self, capsys):
         assert run_cli("example", "spin1", "--beta0", "-1.0") == 2
+
+    @pytest.mark.parametrize("beta0", ["237", "400", "1e5"])
+    def test_beta0_past_the_closed_form_range_is_an_input_error(self, beta0):
+        result = run_process("example", "spin1", "--beta0", beta0)
+        assert result.returncode == 2
+        assert "log(DBL_MAX)/3" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_name_is_a_usage_error(self):
         result = run_process("example", "spin2")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,15 @@ class TestGibbsState:
         w = state.probabilities.weights
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_partition_function_past_double_range_is_inf_without_warning(self):
+        # log Z = 1000 > log(DBL_MAX): Z itself is reported as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = make_gibbs_state(uniform_system(3), -500.0)
+        assert state.partition_function == math.inf
+        assert state.log_partition_function == pytest.approx(1000.0, rel=1e-15)
+        assert state.probabilities.weights[2] == 1.0
 
     def test_identity_entropy_energy_logz_random_draws(self):
         # S(p) = beta E(p) + log Z over 1000 seeded draws

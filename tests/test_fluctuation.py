@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlsthermo.core import (
+    GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     ProbabilityVector,
@@ -15,14 +16,18 @@ from nlsthermo.core import (
     propagate,
 )
 from nlsthermo.fluctuation import (
+    J_EQUATION_TOL,
     bistochastic_work_check,
     clausius_bounds,
     compare,
     entropy_flow_check,
     general_j_expectation,
+    grid_pass,
     heat_and_entropy_change,
     heat_flow_check,
+    inequality_suite,
     j_heat_expectation,
+    jequation_suite,
     kl_monotonicity_check,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
@@ -303,3 +308,96 @@ class TestBistochasticLimit:
         T = TransitionMatrix(np.eye(2))
         with pytest.raises(InvalidInputError, match="beta"):
             bistochastic_work_check(T, system, beta=-0.5)
+
+
+# ---------------------------------------------------------------------------
+# the grid pass against the per-point functions
+# ---------------------------------------------------------------------------
+
+# +/-800 drive some Gibbs weights of the wider spectra (spin-1, N = 3) to
+# exactly zero, so the p > 0 mask is hit both ways
+WIDE_GRID = np.concatenate(([-800.0], np.linspace(-50.0, 50.0, 41), [800.0]))
+GRID_CASES = [pytest.param(lambda n=n: random_gibbs_instance(n, 70 + n).gibbs(),
+                           id=f"random-{n}") for n in (3, 8, 32)]
+GRID_CASES.append(pytest.param(lambda: spin1_gibbs_matrix(1.0), id="spin1"))
+
+
+@pytest.mark.parametrize("build", GRID_CASES)
+class TestGridPass:
+    def test_matches_the_per_point_functions_exactly(self, build):
+        G = build()
+        grid = grid_pass(G, WIDE_GRID, identities=True)
+        assert grid.positive.any()
+        for i, beta in enumerate(WIDE_GRID.tolist()):
+            assert (grid.dq[i], grid.ds[i]) == heat_and_entropy_change(G, beta)
+            assert grid.j_heat[i] == j_heat_expectation(G, beta)
+            p = make_gibbs_state(G.system, beta).probabilities
+            assert grid.positive[i] == (p.weights.min() > 0.0)
+            if not grid.positive[i]:
+                assert math.isnan(grid.j_general[i])
+                continue
+            q = propagate(G.matrix, p)
+            assert grid.j_general[i] == general_j_expectation(
+                G.matrix, p, G.fixed_point, q)
+            report = kl_monotonicity_check(G.matrix, p, G.fixed_point)
+            assert (grid.kl_after[i], grid.kl_before[i]) == (report.lhs, report.rhs)
+
+    def test_without_identities_gives_the_same_heat_and_entropy(self, build):
+        G = build()
+        full = grid_pass(G, WIDE_GRID, identities=True)
+        plain = grid_pass(G, WIDE_GRID)
+        assert plain.j_heat is None and plain.positive is None
+        assert np.array_equal(plain.dq, full.dq)
+        assert np.array_equal(plain.ds, full.ds)
+
+    def test_suites_report_the_worst_per_point_value(self, build):
+        G = build()
+        grid = grid_pass(G, WIDE_GRID, identities=True)
+        heat, general = jequation_suite(grid)
+        assert heat.lhs == max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID)
+        assert heat.rhs == general.rhs == J_EQUATION_TOL
+        assert heat.holds and general.holds
+        flow, lower, upper, entropy_flow, contraction = inequality_suite(grid)
+        per_point = [heat_flow_check(G, b) for b in WIDE_GRID]
+        worst = min(range(len(per_point)), key=lambda i: per_point[i].slack)
+        assert flow.label.endswith(f"[beta={WIDE_GRID[worst]:.17g}]")
+        assert (flow.lhs, flow.rhs) == (per_point[worst].lhs, per_point[worst].rhs)
+        bounds = [clausius_bounds(G, b) for b in WIDE_GRID]
+        assert lower.slack == min(b.lower.slack for b in bounds)
+        assert upper.slack == min(b.upper.slack for b in bounds)
+        assert entropy_flow.slack == min(
+            entropy_flow_check(G, b).slack for b in WIDE_GRID if b >= 0.0)
+        assert contraction.label.startswith("KL contraction")
+        assert all(c.holds for c in (flow, lower, upper, entropy_flow, contraction))
+
+
+class TestGridSuites:
+    @pytest.mark.parametrize("build", GRID_CASES[0:1] + GRID_CASES[3:])
+    def test_wide_grid_reaches_zero_gibbs_weights(self, build):
+        grid = grid_pass(build(), WIDE_GRID, identities=True)
+        assert not grid.positive[0] and not grid.positive[-1]
+        assert grid.positive[1:-1].all()
+        assert np.isnan(grid.kl_after[[0, -1]]).all()
+
+    def test_negative_grid_has_no_entropy_flow_report(self):
+        G = random_gibbs_instance(4, 3).gibbs()
+        grid = grid_pass(G, np.linspace(-5.0, -1.0, 9), identities=True)
+        labels = [c.label for c in inequality_suite(grid)]
+        assert len(labels) == 4
+        assert not any(label.startswith("entropy flow") for label in labels)
+
+    def test_first_minimum_wins_ties(self):
+        # the identity map leaves p unchanged: every slack is exactly zero
+        system = LevelSystem([0.3, -1.2, 2.0], [1, 1, 1])
+        G = GibbsMatrix(TransitionMatrix(np.eye(3)), system, 1.0)
+        grid = grid_pass(G, [-2.0, 0.5, 3.0], identities=True)
+        reports = inequality_suite(grid)
+        assert all(r.slack == 0.0 for r in reports)
+        # entropy flow counts only beta >= 0, so its first point is 0.5
+        assert [r.label.rsplit(" ", 1)[1] for r in reports] == [
+            "[beta=-2]", "[beta=-2]", "[beta=-2]", "[beta=0.5]", "[beta=-2]"]
+
+    def test_rejects_a_nonfinite_beta(self):
+        G = random_gibbs_instance(4, 3).gibbs()
+        with pytest.raises(InvalidInputError):
+            grid_pass(G, [0.0, math.inf])

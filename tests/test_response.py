@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlsthermo.core import (
+    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -16,9 +17,11 @@ from nlsthermo.fluctuation import heat_and_entropy_change
 from nlsthermo.genrand import random_gibbs_instance
 from nlsthermo.response import (
     PerturbationGenerator,
+    SlopeBundle,
     clausius_equality_residual,
     cumulant_check,
     cumulant_deviation,
+    cumulant_suite,
     entropy_slope_numeric,
     newton_cooling_coefficient,
     perturbed_matrix,
@@ -27,6 +30,7 @@ from nlsthermo.response import (
     slope_direct,
     slope_fluctuation,
     slope_numeric,
+    slope_suite,
     slope_symmetrized,
     weak_coupling_residual,
 )
@@ -94,6 +98,41 @@ class TestSlopeRoutes:
             assert abs(bundle.direct - bundle.fluctuation) <= 1e-9 * scale
             assert abs(bundle.direct - bundle.numeric) <= 1e-4 * scale
 
+    @pytest.mark.parametrize("routes, message", [
+        ((1.0, 1.0, 1.0, -1.0), "negative"),
+        ((1.0, 1.0 + 1e-8, 1.0, 1.0), "closed-form"),
+        ((1.0, 1.0, 1.0 - 1e-8, 1.0), "closed-form"),
+        ((1.0, 1.0, 1.0, 1.001), "finite-difference"),
+    ])
+    def test_bundle_rejects_disagreeing_routes(self, routes, message):
+        with pytest.raises(EvaluationError, match=message):
+            SlopeBundle(*routes)
+
+    def test_bundle_tolerances_are_strict(self):
+        # exactly at the bound passes; the reports' SLACK_TOL is not granted
+        SlopeBundle(0.0, 1e-9, 0.0, 1e-4)
+        SlopeBundle(0.0, 0.0, 0.0, -1e-10)
+        with pytest.raises(EvaluationError):
+            SlopeBundle(0.0, 1e-9 + 5e-13, 0.0, 0.0)
+        with pytest.raises(EvaluationError):
+            SlopeBundle(0.0, 0.0, 0.0, -1.000001e-10)
+
+    def test_suite_reports_the_bundle_comparisons_and_the_tangent(self):
+        G = spin1_gibbs_matrix(1.0)
+        reports = slope_suite(G)
+        bundle = slope_bundle(G)
+        assert reports[2].lhs == abs(bundle.direct - bundle.numeric)
+        assert reports[4].lhs == abs(slope_numeric(G) - entropy_slope_numeric(G))
+        assert [r.label.split(":")[0] for r in reports] == [
+            "slope agreement", "slope agreement", "slope agreement",
+            "slope nonnegativity", "common tangent"]
+        assert all(r.holds for r in reports)
+
+    def test_suite_reports_rather_than_raises(self):
+        G = identity_gibbs()
+        reports = slope_suite(G)
+        assert len(reports) == 5 and all(r.holds for r in reports)
+
     def test_finite_difference_converges_at_second_order(self):
         G = random_gibbs_instance(5, 321).gibbs()
         exact = slope_direct(G)
@@ -141,6 +180,14 @@ class TestCumulantTruncation:
         dq = expectation(dist, delta_q_table(G.system))
         assert abs(dq) <= 1e-14
         assert cumulant_deviation(G, t) <= 1e-4
+
+    @pytest.mark.parametrize("build", [lambda: spin1_gibbs_matrix(1.0),
+                                       lambda: random_gibbs_instance(6, 5).gibbs(),
+                                       lambda: identity_gibbs()])
+    def test_suite_holds(self, build):
+        (report,) = cumulant_suite(build())
+        assert report.label.startswith("cumulant truncation")
+        assert report.holds
 
     def test_large_t_is_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nlsthermo.core import InvalidInputError, certify_gibbs_matrix, make_gibbs_state, propagate
 from nlsthermo.spinboson import (
+    MAX_BETA0,
     DegenerateBlockError,
     SpinBosonParams,
     _block_mixture,
@@ -125,6 +126,17 @@ class TestAnalyticMatrix:
             analytic_transition_matrix(0.0)
         with pytest.raises(InvalidInputError):
             analytic_transition_matrix(-1.0)
+
+    @pytest.mark.parametrize("beta0", [237.0, 400.0, 1e5, 1e308])
+    def test_beta0_past_the_double_range_names_the_bound(self, beta0):
+        # e^{3 beta0} overflows past log(DBL_MAX)/3 = 236.59...
+        with pytest.raises(InvalidInputError, match=r"log\(DBL_MAX\)/3 = 236\.59"):
+            analytic_transition_matrix(beta0)
+
+    def test_bound_is_where_the_cube_overflows(self):
+        assert math.isfinite(math.exp(MAX_BETA0) ** 3)
+        with pytest.raises(OverflowError):
+            math.exp(MAX_BETA0 + 1e-9) ** 3
 
 
 class TestParams:

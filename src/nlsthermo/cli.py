@@ -24,26 +24,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (
-    CertificationError,
-    EvaluationError,
-    GibbsMatrix,
-    InvalidInputError,
-    TransitionMatrix,
-    certify_gibbs_matrix,
-    instance_to_dict,
-    load_instance,
-)
-from .fluctuation import SLACK_TOL, compare, grid_pass, inequality_suite, jequation_suite
+from .core import (CertificationError, EvaluationError, InvalidInputError, instance_to_dict,
+                   load_instance)
+from .fluctuation import (SLACK_TOL, certification_suite, grid_pass, inequality_suite,
+                          jequation_suite)
 from .genrand import GenerationError, MultiplicityError, random_gibbs_instance
 from .response import cumulant_suite, slope_suite
-from .spinboson import (
-    DegenerateBlockError,
-    SpinBosonParams,
-    analytic_transition_matrix,
-    numerical_transition_matrix,
-    spin1_level_system,
-)
+from .spinboson import (DegenerateBlockError, SpinBosonParams, analytic_entries,
+                        analytic_transition_matrix, numerical_transition_matrix,
+                        spin1_level_system)
 
 __all__ = ["SweepRecord", "sweep_records", "main"]
 
@@ -74,8 +63,8 @@ class SweepRecord:
                 f"clausius ordering violated at beta={self.beta!r}")
 
 
-def sweep_records(G: GibbsMatrix, betas) -> list[SweepRecord]:
-    """Evaluate the three swept quantities on a beta grid, in grid order."""
+def sweep_records(G, betas) -> list[SweepRecord]:
+    """The three swept quantities of Gibbs matrix ``G`` on a beta grid, in order."""
     grid = grid_pass(G, betas)
     return [SweepRecord(beta=beta, beta_dQ=beta * dq, beta0_dQ=G.beta0 * dq, dS=ds)
             for beta, dq, ds in zip(grid.betas.tolist(), grid.dq.tolist(),
@@ -101,7 +90,7 @@ def _resolve_source(args):
         descriptor = {"source": "random", "n": args.random, "seed": args.seed}
         return instance.system, instance.matrix.entries, instance.beta0, descriptor
     system = spin1_level_system()
-    raw = analytic_transition_matrix(args.beta0).entries
+    raw = analytic_entries(args.beta0)
     descriptor = {"source": "example", "name": "spin1", "beta0": args.beta0}
     return system, raw, args.beta0, descriptor
 
@@ -110,6 +99,8 @@ def _beta_grid(args, beta0: float) -> np.ndarray:
     scale = abs(beta0) if beta0 != 0.0 else 1.0
     lo = args.beta_min if args.beta_min is not None else -5.0 * scale
     hi = args.beta_max if args.beta_max is not None else 5.0 * scale
+    if not np.isfinite(hi - lo):  # also when either bound is inf or NaN
+        raise InvalidInputError("--beta-min, --beta-max and their difference must be finite")
     if not (hi > lo):
         raise InvalidInputError("--beta-max must exceed --beta-min")
     if args.steps < 2:
@@ -126,16 +117,8 @@ def _write_text(text: str, out) -> None:
 
 
 def _run_verify(system, raw, beta0, betas, suites):
-    cert = certify_gibbs_matrix(raw, system, beta0)
-    checks = [
-        compare("certification: column-sum deviation <= tol",
-                cert.column_sum_deviation, cert.tol),
-        compare("certification: fixed-point residual <= tol",
-                cert.fixed_point_residual, cert.tol),
-        compare("certification: entries nonnegative", -cert.min_entry, cert.tol),
-    ]
-    if cert.passed:
-        G = GibbsMatrix(TransitionMatrix(raw), system, beta0)
+    checks, G = certification_suite(raw, system, beta0)
+    if G is not None:
         if "jequation" in suites or "inequalities" in suites:
             grid = grid_pass(G, betas, identities=True)
         if "jequation" in suites:
@@ -155,23 +138,17 @@ def _run_verify(system, raw, beta0, betas, suites):
 
 def cmd_sweep(args) -> int:
     system, raw, beta0, _ = _resolve_source(args)
-    cert = certify_gibbs_matrix(raw, system, beta0)
-    if not cert.passed:
-        raise CertificationError(
-            f"instance failed certification: column-sum deviation "
-            f"{cert.column_sum_deviation:.3e}, fixed-point residual "
-            f"{cert.fixed_point_residual:.3e}, min entry {cert.min_entry:.3e} "
-            f"(tol {cert.tol:g})")
-    G = GibbsMatrix(TransitionMatrix(raw), system, beta0)
+    checks, G = certification_suite(raw, system, beta0)
+    if G is None:
+        raise CertificationError("; ".join(f"{c.label} fails: {c.lhs:.3e} > {c.rhs:g}"
+                                           for c in checks if not c.holds))
     records = sweep_records(G, _beta_grid(args, beta0))
     if args.json:
         text = json.dumps([asdict(r) for r in records], indent=2) + "\n"
     else:
-        lines = ["beta,beta_dQ,beta0_dQ,dS"]
-        for r in records:
-            lines.append(f"{r.beta:.16e},{r.beta_dQ:.16e},"
-                         f"{r.beta0_dQ:.16e},{r.dS:.16e}")
-        text = "\n".join(lines) + "\n"
+        rows = (f"{r.beta:.16e},{r.beta_dQ:.16e},{r.beta0_dQ:.16e},{r.dS:.16e}"
+                for r in records)
+        text = "\n".join(["beta,beta_dQ,beta0_dQ,dS", *rows]) + "\n"
     _write_text(text, args.out)
     return EXIT_OK
 
@@ -273,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="emit beta, beta<dQ>, beta0<dQ>, <dS> rows over a beta grid")
     _add_source_options(sweep)
     _add_grid_options(sweep)
-    sweep.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     sweep.add_argument("--json", action="store_true",
                        help="emit JSON records instead of CSV")
     sweep.set_defaults(func=cmd_sweep)
@@ -284,14 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_options(verify)
     verify.add_argument("--suite", action="append", choices=list(SUITES),
                         help="restrict to one or more suites (default: all)")
-    verify.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     verify.set_defaults(func=cmd_verify)
 
     gen = commands.add_parser(
         "gen", help="write a seeded random Gibbs-matrix instance as JSON")
     gen.add_argument("n", type=_instance_count, help="number of levels (>= 2)")
     gen.add_argument("--seed", type=_seed, default=0, help="generator seed (default 0)")
-    gen.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
     example = commands.add_parser(
@@ -302,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     example.add_argument("--oracle", action="store_true",
                          help="also run the time-averaged-dynamics oracle and "
                               "report the max entrywise deviation on stderr")
-    example.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     example.set_defaults(func=cmd_example)
+    for sub in (sweep, verify, gen, example):
+        sub.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     return parser
 
 
@@ -311,16 +286,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EvaluationError, MultiplicityError, GenerationError,
+    except (InvalidInputError, EvaluationError, MultiplicityError, GenerationError,
             DegenerateBlockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        usage = isinstance(exc, InvalidInputError) and not isinstance(exc, CertificationError)
+        return EXIT_USAGE if usage else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

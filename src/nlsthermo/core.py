@@ -78,8 +78,8 @@ class EvaluationError(ArithmeticError):
     outcome."""
 
 
-class CertificationError(ValueError):
-    """Raised when a matrix fails to hold its announced Gibbs state fixed."""
+class CertificationError(InvalidInputError):
+    """Raised when a matrix breaks a rule of :func:`certify_gibbs_matrix`."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,7 +148,7 @@ class ProbabilityVector:
             raise InvalidInputError("weights must lie in [0, 1]")
         if abs(float(w.sum()) - 1.0) > SUM_TOL:
             raise InvalidInputError(
-                f"weights must sum to 1 within {SUM_TOL:g}, got {w.sum()!r}")
+                f"weights must sum to 1 within {SUM_TOL:g}, got {float(w.sum())!r}")
         object.__setattr__(self, "weights", _freeze(w))
 
     @property
@@ -175,26 +175,16 @@ class GibbsState:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Left stochastic matrix: nonnegative entries, columns summing to one."""
+    """Left stochastic matrix: nonnegative entries, columns summing to one
+    within ``SUM_TOL``; a broken rule raises :class:`CertificationError`."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.entries, dtype=float, order="C")
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise InvalidInputError("transition matrix must be square")
-        if t.shape[0] < 2:
-            raise InvalidInputError("transition matrix must be at least 2x2")
-        if not np.all(np.isfinite(t)):
-            raise InvalidInputError("transition matrix entries must be finite")
-        if np.any(t < 0.0):
-            raise InvalidInputError("transition matrix entries must be nonnegative")
-        dev = np.abs(t.sum(axis=0) - 1.0)
-        if np.any(dev > SUM_TOL):
-            n_bad = int(np.argmax(dev))
-            raise InvalidInputError(
-                f"column {n_bad} sums to {t[:, n_bad].sum()!r}, "
-                f"outside 1 +/- {SUM_TOL:g}")
+        t = _square_finite(self.entries)
+        for _, failure in (_sign_rule(t), _column_sum_rule(t)):
+            if failure is not None:
+                raise CertificationError(failure)
         object.__setattr__(self, "entries", _freeze(t))
 
     @property
@@ -221,12 +211,10 @@ class GibbsMatrix:
         if self.matrix.size != self.system.size:
             raise InvalidInputError("matrix and level system sizes differ")
         state = make_gibbs_state(self.system, self.beta0)
-        p0 = state.probabilities.weights
-        residual = float(np.abs(self.matrix.entries @ p0 - p0).max())
-        if residual > FIXED_POINT_TOL:
+        _, failure = _fixed_point_rule(self.matrix.entries, state.probabilities.weights)
+        if failure is not None:
             raise CertificationError(
-                f"matrix does not fix the Gibbs state at beta0={self.beta0!r}: "
-                f"residual {residual:.3e} exceeds {FIXED_POINT_TOL:g}")
+                f"matrix does not fix the Gibbs state at beta0={self.beta0!r}: {failure}")
         object.__setattr__(self, "fixed_point", state.probabilities)
 
     @property
@@ -269,14 +257,20 @@ class TwoPointDistribution:
 
 @dataclass(frozen=True)
 class GibbsCertificate:
-    """Diagnostics from checking a raw matrix against the Gibbs-matrix
-    requirements; failures are reported here, never raised."""
+    """Each Gibbs-matrix rule's value and verdict for a raw matrix; failures
+    are reported here, never raised.  ``passed`` holds exactly when
+    ``GibbsMatrix(TransitionMatrix(raw), system, beta0)`` constructs."""
 
     column_sum_deviation: float
     fixed_point_residual: float
     min_entry: float
-    tol: float
-    passed: bool
+    column_sums_hold: bool
+    fixed_point_holds: bool
+    sign_holds: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.column_sums_hold and self.fixed_point_holds and self.sign_holds
 
 
 # ---------------------------------------------------------------------------
@@ -484,37 +478,52 @@ def delta_s_rv(system: LevelSystem, p, q) -> Callable[[int, int], float]:
 # certification
 # ---------------------------------------------------------------------------
 
-def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float,
-                         tol: float = FIXED_POINT_TOL) -> GibbsCertificate:
-    """Check a raw matrix against the Gibbs-matrix requirements.
+def _square_finite(entries) -> np.ndarray:
+    """A C-ordered float copy of a square, at least 2x2, finite matrix."""
+    t = np.array(entries, dtype=float, order="C")
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
+        raise InvalidInputError("transition matrix must be square and at least 2x2")
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError("transition matrix entries must be finite")
+    return t
 
-    ``matrix`` may be a :class:`TransitionMatrix` or a bare array; raw arrays
-    are accepted so that defective inputs (wrong column sums, negative
-    entries, broken fixed point) can be diagnosed instead of rejected at
-    construction time.  All findings land in the certificate; nothing is
-    raised for a failing matrix.
-    """
-    raw = matrix.entries if isinstance(matrix, TransitionMatrix) else \
-        np.asarray(matrix, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise InvalidInputError("transition matrix must be square")
+
+# the Gibbs-matrix rules: each returns its value and why it breaks, or None
+
+def _column_sum_rule(t: np.ndarray) -> tuple[float, str | None]:
+    """max |column sum - 1| <= ``SUM_TOL``."""
+    sums = t.sum(axis=0)
+    n = int(np.argmax(np.abs(sums - 1.0)))
+    dev = abs(float(sums[n]) - 1.0)
+    return dev, None if dev <= SUM_TOL else (
+        f"column {n} sums to {float(sums[n])!r}, outside 1 +/- {SUM_TOL:g}")
+
+
+def _sign_rule(t: np.ndarray) -> tuple[float, str | None]:
+    """min entry >= 0."""
+    low = float(t.min())
+    return low, None if low >= 0.0 else (
+        f"transition matrix entries must be nonnegative, got {low!r}")
+
+
+def _fixed_point_rule(t: np.ndarray, p0: np.ndarray) -> tuple[float, str | None]:
+    """max |t p0 - p0| <= ``FIXED_POINT_TOL``."""
+    residual = float(np.abs(t @ p0 - p0).max())
+    return residual, None if residual <= FIXED_POINT_TOL else (
+        f"residual {residual:.3e} exceeds {FIXED_POINT_TOL:g}")
+
+
+def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float) -> GibbsCertificate:
+    """Measure a bare array (or a :class:`TransitionMatrix`) against each
+    rule of the Gibbs-matrix constructors.  A broken rule lands in the
+    certificate instead of raising, so defective inputs can be diagnosed."""
+    raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
     if raw.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
-    if not np.all(np.isfinite(raw)):
-        raise InvalidInputError("transition matrix entries must be finite")
-    col_dev = float(np.abs(raw.sum(axis=0) - 1.0).max())
     p0 = make_gibbs_state(system, beta0).probabilities.weights
-    residual = float(np.abs(raw @ p0 - p0).max())
-    min_entry = float(raw.min())
-    tol = float(tol)
-    passed = (col_dev <= tol) and (residual <= tol) and (min_entry >= -tol)
-    return GibbsCertificate(
-        column_sum_deviation=col_dev,
-        fixed_point_residual=residual,
-        min_entry=min_entry,
-        tol=tol,
-        passed=passed,
-    )
+    (dev, columns), (low, sign), (residual, fixed) = (
+        _column_sum_rule(raw), _sign_rule(raw), _fixed_point_rule(raw, p0))
+    return GibbsCertificate(dev, residual, low, columns is None, fixed is None, sign is None)
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +560,13 @@ def instance_from_dict(obj) -> tuple[LevelSystem, np.ndarray, float]:
     for key in ("energies", "degeneracies", "transition", "beta0"):
         if key not in obj:
             raise InvalidInputError(f"field '{key}': missing")
-    try:
-        energies = np.asarray(obj["energies"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"field 'energies': {exc}") from exc
-    try:
-        degeneracies = np.asarray(obj["degeneracies"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"field 'degeneracies': {exc}") from exc
-    try:
-        transition = np.asarray(obj["transition"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"field 'transition': {exc}") from exc
+    arrays = []
+    for key in ("energies", "degeneracies", "transition"):
+        try:
+            arrays.append(np.asarray(obj[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"field '{key}': {exc}") from exc
+    energies, degeneracies, transition = arrays
     if not isinstance(obj["beta0"], (int, float)) or isinstance(obj["beta0"], bool):
         raise InvalidInputError("field 'beta0': must be a number")
     beta0 = float(obj["beta0"])

@@ -3,7 +3,7 @@
 Everything here reports rather than asserts: each check returns an
 :class:`InequalityReport` whose ``holds`` flag allows a one-sided slack of
 ``SLACK_TOL`` below zero, absorbing floating-point summation error in
-identities that are exact in real arithmetic.
+identities that are exact in real arithmetic (a certification line has no slack).
 
 The identities:
 
@@ -19,8 +19,9 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
-:func:`grid_pass` evaluates the per-point quantities over a whole beta grid,
-building each Gibbs state and its image once; the verification suites
+:func:`certification_suite` reports the Gibbs-matrix rules and builds the
+matrix; :func:`grid_pass` evaluates the per-point quantities over a whole
+beta grid, building each Gibbs state and its image once; the suites
 :func:`jequation_suite` and :func:`inequality_suite` reduce its arrays to
 worst-case reports.
 """
@@ -32,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FIXED_POINT_TOL,
+    SUM_TOL,
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
@@ -39,6 +42,7 @@ from .core import (
     ProbabilityVector,
     TransitionMatrix,
     _weights_of,
+    certify_gibbs_matrix,
     entropy,
     gibbs_log_weights,
     kl_divergence,
@@ -63,6 +67,7 @@ __all__ = [
     "kl_monotonicity_check",
     "bistochastic_work_check",
     "grid_pass",
+    "certification_suite",
     "jequation_suite",
     "inequality_suite",
 ]
@@ -184,7 +189,8 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     rows, cols = np.nonzero(t_entries > 0.0)
     log_terms = (np.log(t_entries[rows, cols]) + log_p[cols]
                  - dbeta * (energies[rows] - energies[cols]))
-    return float(np.sum(np.exp(log_terms)))
+    with np.errstate(over="ignore"):  # rounding near |beta| = 1e300 gives inf
+        return float(np.sum(np.exp(log_terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,8 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         ds[i] = entropy(system, q) - entropy(system, p)
         if not identities:
             continue
-        j_heat[i] = float(np.sum(np.exp(log_t + log_p[cols] - (beta - G.beta0) * gap)))
+        with np.errstate(over="ignore"):  # as in j_heat_expectation
+            j_heat[i] = float(np.sum(np.exp(log_t + log_p[cols] - (beta - G.beta0) * gap)))
         if float(p.min()) > 0.0:
             positive[i] = True
             j_general[i] = float(np.sum((t_support * p[cols]) * (p0_cols * q[rows])
@@ -329,6 +336,22 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
             kl_before[i] = kl_divergence(p, p0)
     extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
     return GridPass(G.beta0, betas, dq, ds, *extras)
+
+
+def certification_suite(raw, system: LevelSystem, beta0: float
+                        ) -> tuple[list[InequalityReport], GibbsMatrix | None]:
+    """A line per rule of :func:`certify_gibbs_matrix`, its bound as ``rhs`` and
+    its verdict as ``holds``; and the Gibbs matrix if all hold, else ``None``."""
+    cert = certify_gibbs_matrix(raw, system, beta0)
+    rules = [("certification: column-sum deviation <= tol", cert.column_sum_deviation,
+              SUM_TOL, cert.column_sums_hold),
+             ("certification: fixed-point residual <= tol", cert.fixed_point_residual,
+              FIXED_POINT_TOL, cert.fixed_point_holds),
+             ("certification: entries nonnegative", -cert.min_entry, 0.0, cert.sign_holds)]
+    reports = [InequalityReport(label, lhs, rhs, rhs - lhs, holds)
+               for label, lhs, rhs, holds in rules]
+    G = GibbsMatrix(TransitionMatrix(raw), system, beta0) if cert.passed else None
+    return reports, G
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:

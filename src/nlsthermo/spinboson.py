@@ -49,6 +49,7 @@ __all__ = [
     "lerch_phi",
     "spin1_level_system",
     "analytic_transition_matrix",
+    "analytic_entries",
     "numerical_transition_matrix",
     "spin1_gibbs_matrix",
     "triplet_block",
@@ -189,7 +190,13 @@ def spin1_level_system() -> LevelSystem:
 
 
 def analytic_transition_matrix(beta0: float) -> TransitionMatrix:
-    """Closed-form 3x3 transition matrix of the spin-oscillator example.
+    """:func:`analytic_entries` as a :class:`TransitionMatrix`; raises
+    :class:`CertificationError` where rounding breaks a rule (beta0 >~ 10.2)."""
+    return TransitionMatrix(analytic_entries(beta0))
+
+
+def analytic_entries(beta0: float) -> np.ndarray:
+    """Closed-form 3x3 transition matrix entries of the spin-oscillator example.
 
     Index order (1, 0, -1) for both rows and columns.  The middle entry is
     exactly 1/2 for every bath temperature.  coth^-1(e^{beta0/2}) equals
@@ -217,11 +224,7 @@ def analytic_transition_matrix(beta0: float) -> TransitionMatrix:
     t33 = (4.0 * x * x * (11.0 * math.sinh(beta0) + 5.0 * math.cosh(beta0)
                           - 4.0 * s * u - 2.0)
            + 3.0 * (x - 1.0) * phi) / (32.0 * x ** 3)
-    return TransitionMatrix(np.array([
-        [t11, t12, t13],
-        [t21, t22, t23],
-        [t31, t32, t33],
-    ]))
+    return np.array([[t11, t12, t13], [t21, t22, t23], [t31, t32, t33]])
 
 
 def spin1_gibbs_matrix(beta0: float) -> GibbsMatrix:

@@ -215,6 +215,83 @@ class TestVerify:
         assert run_cli("sweep", "--input", str(bad)) == 1
 
 
+def certification_repro(tmp_path, name):
+    """Instance files that break one Gibbs-matrix rule by a margin the old
+    single 1e-10 bound missed or turned into a usage error."""
+    if name == "column-deviation":
+        run_cli("gen", "4", "--seed", "2", "--out", str(tmp_path / "good.json"))
+        obj = json.loads((tmp_path / "good.json").read_text())
+        obj["transition"][0][0] += 5e-11
+    else:
+        entry = {"negative-entry": -1e-11, "identity-plus": 1.005e-10}[name]
+        transition = np.eye(3)
+        transition[1, 2] = entry
+        transition[2, 2] -= min(entry, 0.0)  # keep the column sum for the negative entry
+        obj = {"energies": [0.0, 1.0, 2.0], "degeneracies": [1, 1, 1],
+               "transition": transition.tolist(), "beta0": 1.0}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return ("--input", str(path))
+
+
+REPROS = ["column-deviation", "negative-entry", "identity-plus", "spin1-beta0-25"]
+
+
+def repro_source(tmp_path, name):
+    if name == "spin1-beta0-25":
+        return ("--example", "spin1", "--beta0", "25")
+    return certification_repro(tmp_path, name)
+
+
+class TestCertification:
+    @pytest.mark.parametrize("name", REPROS)
+    def test_verify_reports_the_failing_rule_and_exits_one(self, tmp_path, capsys, name):
+        assert run_cli("verify", *repro_source(tmp_path, name)) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall_pass"] is False
+        assert [c["label"].split(":")[0] for c in report["checks"]] == ["certification"] * 3
+        assert [c["rhs"] for c in report["checks"]] == [1e-12, 1e-10, 0.0]
+        assert any(not c["holds"] for c in report["checks"])
+        for c in report["checks"]:
+            assert c["slack"] == c["rhs"] - c["lhs"]
+            assert c["holds"] == (c["slack"] >= 0.0)
+
+    @pytest.mark.parametrize("name", REPROS)
+    def test_sweep_names_the_failing_rule_and_exits_one(self, tmp_path, capsys, name):
+        assert run_cli("sweep", *repro_source(tmp_path, name)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: certification:" in captured.err
+
+    def test_example_past_the_certified_range_exits_one_with_plain_floats(self):
+        result = run_process("example", "spin1", "--beta0", "12")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "column 0 sums to 1.0000000000025728" in result.stderr
+        assert "np.float64" not in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestOverflowingGrids:
+    @pytest.mark.parametrize("bounds", [("--beta-min=-1e308", "--beta-max=1e308"),
+                                        ("--beta-max=inf",),
+                                        ("--beta-min=nan",)])
+    def test_nonfinite_span_is_a_usage_error_without_warnings(self, bounds):
+        result = run_process("sweep", "--random", "3", *bounds, "--steps", "5")
+        assert result.returncode == 2
+        assert "--beta-min, --beta-max" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
+    def test_heat_j_overflow_fails_its_line_without_warnings(self):
+        result = run_process("verify", "--random", "5", "--seed", "2",
+                             "--beta-min=-1e300", "--beta-max=1e300", "--steps", "101")
+        assert result.returncode == 1
+        assert "RuntimeWarning" not in result.stderr
+        report = json.loads(result.stdout)
+        failing = [c["label"] for c in report["checks"] if not c["holds"]]
+        assert any(label.startswith("j-equation (heat)") for label in failing)
+
+
 class TestDeterminism:
     def test_verify_reports_are_byte_identical(self):
         first = run_process("verify", "--random", "4", "--seed", "42")

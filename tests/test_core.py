@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsthermo.core import (
+    FIXED_POINT_TOL,
+    SUM_TOL,
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
@@ -85,6 +87,25 @@ class TestTypeValidation:
         matrix = TransitionMatrix([[0.9, 0.3], [0.1, 0.7]])
         with pytest.raises(CertificationError):
             GibbsMatrix(matrix, system, beta0=1.0)
+
+    def test_broken_rules_raise_certification_errors(self):
+        # a CertificationError is also an InvalidInputError, so callers that
+        # catch the latter keep working
+        assert issubclass(CertificationError, InvalidInputError)
+        with pytest.raises(CertificationError, match="column 0"):
+            TransitionMatrix([[1.0 + 5e-11, 0.0], [0.0, 1.0]])
+        with pytest.raises(CertificationError, match="nonnegative"):
+            TransitionMatrix([[1.0, -1e-11], [0.0, 1.0 + 1e-11]])
+
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(InvalidInputError) as err:
+            ProbabilityVector([0.5, 0.6])
+        assert "np.float64" not in str(err.value)
+        assert "got 1.1" in str(err.value)
+        with pytest.raises(CertificationError) as err:
+            TransitionMatrix([[0.5, 0.5], [0.5, 0.5001]])
+        assert "np.float64" not in str(err.value)
+        assert "sums to 1.0001" in str(err.value)
 
     def test_values_are_frozen(self):
         system = uniform_system(3)
@@ -430,6 +451,66 @@ class TestCertification:
         cert = certify_gibbs_matrix(inst.matrix, inst.system, beta0=1.0)
         assert cert.passed
         assert cert.fixed_point_residual <= 1e-12
+
+
+def detailed_balance_matrix(system, beta0, rng):
+    """A Gibbs matrix with exact zeros: T[m, n] = c K[m, n] p0[m] off the
+    diagonal for a symmetric 0/1-masked K, diagonal filling each column."""
+    p0 = make_gibbs_state(system, beta0).probabilities.weights
+    n = system.size
+    k = np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6), 1)
+    t = 0.9 * (k + k.T) * p0[:, None]
+    t[np.diag_indices(n)] = 1.0 - t.sum(axis=0)
+    return t, p0
+
+
+class TestCertifiedIffConstructs:
+    """``certify_gibbs_matrix(raw, ...).passed`` holds exactly when
+    ``GibbsMatrix(TransitionMatrix(raw), ...)`` constructs, for matrices
+    pushed across each rule's bound."""
+
+    @given(st.integers(2, 8), st.integers(0, 10_000), st.booleans(),
+           st.sampled_from(["column", "sign", "fixed_point"]),
+           st.sampled_from([SUM_TOL, FIXED_POINT_TOL]),
+           st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
+                     st.floats(0.0, 3.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_certified_iff_constructs(self, n, seed, seeded_instance, rule, scale, factor):
+        rng = np.random.default_rng(seed)
+        if seeded_instance and rule != "sign":  # its entries are all positive
+            inst = random_gibbs_instance(n, seed)
+            system, beta0, raw = inst.system, inst.beta0, inst.matrix.entries.copy()
+            p0 = make_gibbs_state(system, beta0).probabilities.weights
+        else:
+            system = LevelSystem(rng.uniform(-2.0, 2.0, size=n), rng.integers(1, 3, size=n))
+            beta0 = float(rng.uniform(0.2, 2.0))
+            raw, p0 = detailed_balance_matrix(system, beta0, rng)
+        col = int(rng.integers(n))
+        if rule == "column":
+            # one entry, so one column sum, moves by about factor * scale
+            raw[int(rng.integers(n)), col] += factor * scale
+        elif rule == "sign":
+            # drop one pair of flows (detailed balance still holds), then let
+            # one of them dip below zero with the diagonal keeping the column
+            # sum; the fixed point moves far less than its bound
+            row = (col + 1) % n
+            raw[col, col] += raw[row, col]
+            raw[row, row] += raw[col, row]
+            raw[row, col] = raw[col, row] = 0.0
+            raw[row, col] = -factor * scale
+            raw[col, col] += factor * scale
+        else:
+            # mass moves within a column: residual about factor * scale
+            shift = min(factor * scale / p0[col], raw[col, col])
+            raw[col, col] -= shift
+            raw[(col + 1) % n, col] += shift
+        cert = certify_gibbs_matrix(raw, system, beta0)
+        try:
+            GibbsMatrix(TransitionMatrix(raw), system, beta0)
+            constructs = True
+        except CertificationError:
+            constructs = False
+        assert cert.passed is constructs
 
 
 # ---------------------------------------------------------------------------

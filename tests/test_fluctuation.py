@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nlsthermo.core import (
+    FIXED_POINT_TOL,
+    SUM_TOL,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -18,6 +20,7 @@ from nlsthermo.core import (
 from nlsthermo.fluctuation import (
     J_EQUATION_TOL,
     bistochastic_work_check,
+    certification_suite,
     clausius_bounds,
     compare,
     entropy_flow_check,
@@ -401,3 +404,54 @@ class TestGridSuites:
         G = random_gibbs_instance(4, 3).gibbs()
         with pytest.raises(InvalidInputError):
             grid_pass(G, [0.0, math.inf])
+
+    def test_heat_j_overflow_near_1e300_matches_the_per_point_value(self):
+        # rounding in the log-space terms overflows exp at these betas; both
+        # paths report inf, and the suite warning filter turns any numpy
+        # overflow warning into a failure here
+        G = random_gibbs_instance(5, 2).gibbs()
+        betas = np.linspace(-1e300, 1e300, 101)
+        grid = grid_pass(G, betas, identities=True)
+        assert np.isinf(grid.j_heat).any()
+        for i, beta in enumerate(betas.tolist()):
+            assert grid.j_heat[i] == j_heat_expectation(G, beta)
+        heat, _ = jequation_suite(grid)
+        assert not heat.holds
+
+
+class TestCertificationSuite:
+    LABELS = ["certification: column-sum deviation <= tol",
+              "certification: fixed-point residual <= tol",
+              "certification: entries nonnegative"]
+
+    def test_certified_instance_passes_with_the_rule_bounds(self):
+        inst = random_gibbs_instance(6, 4)
+        reports, G = certification_suite(inst.matrix.entries, inst.system, inst.beta0)
+        assert [r.label for r in reports] == self.LABELS
+        assert [r.rhs for r in reports] == [SUM_TOL, FIXED_POINT_TOL, 0.0]
+        assert all(r.holds and r.slack >= 0.0 for r in reports)
+        assert all(r.slack == r.rhs - r.lhs for r in reports)
+        np.testing.assert_array_equal(G.matrix.entries, inst.matrix.entries)
+        assert G.fixed_point.weights.tolist() == inst.gibbs().fixed_point.weights.tolist()
+
+    @pytest.mark.parametrize("entry, failing", [
+        (1.005e-10, [0]),                 # inside the report slack, outside the rule
+        (5e-11, [0]),
+        (1.5e-12, [0]),                   # within SLACK_TOL of the bound
+        (-5e-13, [2]),                    # within SLACK_TOL of zero
+        (-1e-11, [0, 2]),
+        (-0.0, []),
+    ])
+    def test_each_line_holds_exactly_when_its_rule_does(self, entry, failing):
+        raw = np.eye(3)
+        raw[1, 2] = entry
+        reports, G = certification_suite(raw, LevelSystem([0.0, 1.0, 2.0], [1, 1, 1]), 1.0)
+        assert [i for i, r in enumerate(reports) if not r.holds] == failing
+        assert (G is None) == bool(failing)
+        assert all(r.holds == (r.slack >= 0.0) for r in reports)
+
+    def test_broken_fixed_point_fails_only_its_line(self):
+        inst = random_gibbs_instance(4, 8)
+        reports, G = certification_suite(inst.matrix.entries, inst.system, 2.0)
+        assert [r.holds for r in reports] == [True, False, True]
+        assert G is None

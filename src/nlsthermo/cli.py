@@ -81,18 +81,23 @@ def _resolve_source(args):
         raise InvalidInputError(
             "exactly one instance source is required: --input PATH, "
             "--random N, or --example spin1")
+    if args.beta0 is not None and args.example is None:
+        raise InvalidInputError("--beta0 applies only to --example; "
+                                "--input and --random instances carry their own beta0")
+    if args.seed is not None and args.random is None:
+        raise InvalidInputError("--seed applies only to --random")
     if args.input is not None:
         system, raw, beta0 = load_instance(args.input)
         descriptor = {"source": "file", "path": str(args.input)}
         return system, raw, beta0, descriptor
     if args.random is not None:
-        instance = random_gibbs_instance(args.random, args.seed)
-        descriptor = {"source": "random", "n": args.random, "seed": args.seed}
-        return instance.system, instance.matrix.entries, instance.beta0, descriptor
-    system = spin1_level_system()
-    raw = analytic_entries(args.beta0)
-    descriptor = {"source": "example", "name": "spin1", "beta0": args.beta0}
-    return system, raw, args.beta0, descriptor
+        seed = 0 if args.seed is None else args.seed
+        G = random_gibbs_instance(args.random, seed)
+        descriptor = {"source": "random", "n": args.random, "seed": seed}
+        return G.system, G.matrix.entries, G.beta0, descriptor
+    beta0 = 1.0 if args.beta0 is None else args.beta0
+    descriptor = {"source": "example", "name": "spin1", "beta0": beta0}
+    return spin1_level_system(), analytic_entries(beta0), beta0, descriptor
 
 
 def _beta_grid(args, beta0: float) -> np.ndarray:
@@ -181,8 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    instance = random_gibbs_instance(args.n, args.seed)
-    payload = instance_to_dict(instance.system, instance.matrix, instance.beta0)
+    G = random_gibbs_instance(args.n, args.seed)
+    payload = instance_to_dict(G.system, G.matrix, G.beta0)
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -222,11 +227,12 @@ def _add_source_options(sub) -> None:
                      help="instance JSON file (energies, degeneracies, transition, beta0)")
     sub.add_argument("--random", metavar="N", type=_instance_count,
                      help="seeded random Gibbs-matrix instance with N levels")
-    sub.add_argument("--seed", type=_seed, default=0,
+    # None marks an option left unset, so one given to the wrong source is caught
+    sub.add_argument("--seed", type=_seed,
                      help="seed for --random (default 0)")
     sub.add_argument("--example", choices=["spin1"],
                      help="built-in example instance")
-    sub.add_argument("--beta0", type=float, default=1.0,
+    sub.add_argument("--beta0", type=float,
                      help="bath inverse temperature for --example (default 1)")
 
 

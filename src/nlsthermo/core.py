@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
@@ -47,12 +46,9 @@ __all__ = [
     "two_point_distribution",
     "expectation",
     "mean_energy",
-    "second_moment_energy",
     "entropy",
     "kl_divergence",
-    "delta_q_rv",
     "delta_q_table",
-    "delta_s_rv",
     "delta_s_table",
     "certify_gibbs_matrix",
     "instance_to_dict",
@@ -332,43 +328,29 @@ def two_point_distribution(T: TransitionMatrix, p: ProbabilityVector) -> TwoPoin
 # expectations, entropies, divergences
 # ---------------------------------------------------------------------------
 
-RandomVariable = Union[Callable[[int, int], float], np.ndarray]
-
-
 def _expectation_sum(joint: np.ndarray, values: np.ndarray) -> float:
     """sum of joint[m,n] * values[m,n] over pairs with joint > 0."""
     return float(np.sum(joint * np.where(joint > 0.0, values, 0.0)))
 
 
-def expectation(dist: TwoPointDistribution, rv: RandomVariable) -> float:
-    """Expectation of a random variable over the two-point distribution.
+def expectation(dist: TwoPointDistribution, table) -> float:
+    """Expectation over the two-point distribution of a random variable
+    given as an N x N table of values ``table[m, n]``.
 
-    ``rv`` is either a callable ``(m, n) -> float`` or an N x N table of
-    values.  Outcomes with zero joint probability are skipped and, for the
-    callable form, never evaluated.  A non-finite value on an outcome with
-    positive probability raises :class:`EvaluationError` naming the pair.
+    Outcomes with zero joint probability are skipped.  A non-finite value on
+    an outcome with positive probability raises :class:`EvaluationError`
+    naming the pair.
     """
     joint = dist.joint
-    if callable(rv):
-        rows, cols = np.nonzero(joint > 0.0)
-        total = 0.0
-        for m, n in zip(rows.tolist(), cols.tolist()):
-            value = float(rv(m, n))
-            if not math.isfinite(value):
-                raise EvaluationError(
-                    f"random variable is not finite at outcome (m={m}, n={n})")
-            total += joint[m, n] * value
-        return total
-    values = np.asarray(rv, dtype=float)
+    values = np.asarray(table, dtype=float)
     if values.shape != joint.shape:
         raise InvalidInputError("random-variable table shape does not match the joint")
-    support = joint > 0.0
-    bad = support & ~np.isfinite(values)
+    bad = (joint > 0.0) & ~np.isfinite(values)
     if bad.any():
         m, n = np.argwhere(bad)[0]
         raise EvaluationError(
             f"random variable is not finite at outcome (m={int(m)}, n={int(n)})")
-    return _expectation_sum(joint, np.where(support, values, 0.0))
+    return _expectation_sum(joint, values)
 
 
 def mean_energy(system: LevelSystem, p) -> float:
@@ -377,14 +359,6 @@ def mean_energy(system: LevelSystem, p) -> float:
     if w.shape[0] != system.size:
         raise InvalidInputError("distribution and level system sizes differ")
     return float(system.energies @ w)
-
-
-def second_moment_energy(system: LevelSystem, p) -> float:
-    """E2(p) = sum_n p_n E_n^2."""
-    w = _weights_of(p)
-    if w.shape[0] != system.size:
-        raise InvalidInputError("distribution and level system sizes differ")
-    return float((system.energies * system.energies) @ w)
 
 
 def entropy(system: LevelSystem, p) -> float:
@@ -427,16 +401,6 @@ def delta_q_table(system: LevelSystem) -> np.ndarray:
     return _freeze(e[:, None] - e[None, :])
 
 
-def delta_q_rv(system: LevelSystem) -> Callable[[int, int], float]:
-    """Heat random variable (m, n) -> E_m - E_n."""
-    e = system.energies
-
-    def heat(m: int, n: int) -> float:
-        return float(e[m] - e[n])
-
-    return heat
-
-
 def _log_weight_ratio(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     out = np.full(w.shape, -np.inf)
     mask = w > 0.0
@@ -445,33 +409,22 @@ def _log_weight_ratio(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
-    """Entropy-increase table dS[m, n] = log(p_n / d_n) - log(q_m / d_m)."""
-    d = system.degeneracy_weights()
-    lp = _log_weight_ratio(_weights_of(p), d)
-    lq = _log_weight_ratio(_weights_of(q), d)
-    return _freeze(lp[None, :] - lq[:, None])
-
-
-def delta_s_rv(system: LevelSystem, p, q) -> Callable[[int, int], float]:
-    """Entropy-increase random variable (m, n) -> log(p_n/d_n) - log(q_m/d_m).
+    """Entropy-increase table dS[m, n] = log(p_n / d_n) - log(q_m / d_m).
 
     ``q`` must be the propagated distribution of ``p`` under the transition
     matrix being analysed.  Then every outcome (m, n) with positive joint
     probability has p_n > 0 (the joint is T[m,n] p_n) and q_m >= T[m,n] p_n > 0,
-    so the logarithms are finite wherever the expectation evaluates them; a
-    zero entry can only be hit through a joint that does not match (p, q), and
-    :func:`expectation` reports that as an :class:`EvaluationError`.
+    so the logarithms are finite wherever the expectation reads them; a zero
+    weight gives a -inf log, which only an outcome of a joint that does not
+    match (p, q) can reach, and :func:`expectation` reports that as an
+    :class:`EvaluationError`.
 
     Its mean over the matching two-point distribution is S(q) - S(p).
     """
     d = system.degeneracy_weights()
     lp = _log_weight_ratio(_weights_of(p), d)
     lq = _log_weight_ratio(_weights_of(q), d)
-
-    def entropy_increase(m: int, n: int) -> float:
-        return float(lp[n] - lq[m])
-
-    return entropy_increase
+    return _freeze(lp[None, :] - lq[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def bistochastic_work_check(T: TransitionMatrix, system: LevelSystem,
     """
     beta = float(beta)
     row_dev = float(np.abs(T.entries.sum(axis=1) - 1.0).max())
-    if row_dev > SLACK_TOL:
+    if row_dev > SUM_TOL:
         raise InvalidInputError(
             f"matrix is not bi-stochastic: row sums deviate by {row_dev:.3e}")
     if np.any(system.degeneracies != 1):

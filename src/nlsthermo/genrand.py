@@ -12,11 +12,10 @@ per instance draw, so identical (n, seed) pairs give byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
+    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -27,7 +26,6 @@ from .core import (
 __all__ = [
     "MultiplicityError",
     "GenerationError",
-    "RandomInstance",
     "random_stochastic",
     "stationary_distribution",
     "random_gibbs_instance",
@@ -47,20 +45,6 @@ class MultiplicityError(RuntimeError):
 
 class GenerationError(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
-
-
-@dataclass(frozen=True, eq=False)
-class RandomInstance:
-    """A seeded Gibbs-matrix instance with E_n = -log p0_n, beta0 = 1, d = 1."""
-
-    seed: int
-    matrix: TransitionMatrix
-    system: LevelSystem
-    beta0: float = 1.0
-
-    def gibbs(self) -> GibbsMatrix:
-        """Certified view; construction re-checks the fixed-point residual."""
-        return GibbsMatrix(self.matrix, self.system, self.beta0)
 
 
 def _column_stochastic(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,16 +81,16 @@ def stationary_distribution(T: TransitionMatrix) -> ProbabilityVector:
     p = np.linalg.solve(bordered, rhs)
     residual = float(np.abs(T.entries @ p - p).max())
     if residual > 1e-12:
-        raise ArithmeticError(
+        raise EvaluationError(
             f"stationary solve left residual {residual:.3e}")
     p = np.clip(p, 0.0, 1.0)
     return ProbabilityVector(p / p.sum())
 
 
-def random_gibbs_instance(n: int, seed) -> RandomInstance:
+def random_gibbs_instance(n: int, seed) -> GibbsMatrix:
     """Draw matrices until the stationary entries are positive and pairwise
     distinct, then set E_n = -log p0_n so the matrix is a Gibbs matrix at
-    beta0 = 1.
+    beta0 = 1 with unit degeneracies; construction certifies it.
 
     One generator stream serves all attempts of one draw, so the result is
     deterministic in (n, seed).  The Gibbs state of the returned system at
@@ -127,9 +111,6 @@ def random_gibbs_instance(n: int, seed) -> RandomInstance:
         if float(np.diff(np.sort(w)).min()) < DISTINCTNESS:
             continue
         system = LevelSystem(-np.log(w), np.ones(n, dtype=np.int64))
-        instance = RandomInstance(seed=int(seed), matrix=matrix,
-                                  system=system, beta0=1.0)
-        instance.gibbs()
-        return instance
+        return GibbsMatrix(matrix, system, 1.0)
     raise GenerationError(
         f"no acceptable instance in {MAX_ATTEMPTS} draws for n={n}, seed={seed}")

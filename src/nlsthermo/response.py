@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SUM_TOL,
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
@@ -44,9 +45,7 @@ __all__ = [
     "slope_numeric",
     "entropy_slope_numeric",
     "slope_bundle",
-    "default_fd_step",
     "cumulant_deviation",
-    "cumulant_check",
     "slope_suite",
     "cumulant_suite",
     "newton_cooling_coefficient",
@@ -152,28 +151,13 @@ def slope_fluctuation(G: GibbsMatrix) -> float:
     return 0.5 * G.beta0 * k2
 
 
-def default_fd_step(beta0: float) -> float:
-    """Central-difference step balancing truncation against rounding."""
-    return 1e-4 * max(1.0, abs(beta0))
-
-
-def _fd_step(G: GibbsMatrix, h: float | None) -> float:
-    """The finite-difference step: the default, or ``h`` checked to lie in
-    [1e-6, 1e-2] * max(1, |beta0|)."""
-    scale = max(1.0, abs(G.beta0))
-    if h is None:
-        h = default_fd_step(G.beta0)
-    h = float(h)
-    if not (1e-6 * scale <= h <= 1e-2 * scale):
-        raise InvalidInputError(
-            f"step must lie in [1e-6, 1e-2] * max(1, |beta0|), got {h!r}")
-    return h
-
-
-def _fd_slopes(G: GibbsMatrix, h: float | None) -> tuple[float, float]:
+def _fd_slopes(G: GibbsMatrix, h: float | None = None) -> tuple[float, float]:
     """Central differences of beta <dQ> and of <dS> at beta0, both from one
-    pair of evaluations at beta0 +/- h."""
-    h = _fd_step(G, h)
+    pair of evaluations at beta0 +/- h.  The step is fixed at
+    h = 1e-4 max(1, |beta0|), which balances truncation against rounding;
+    ``h`` is open only so the second-order convergence can be measured."""
+    if h is None:
+        h = 1e-4 * max(1.0, abs(G.beta0))
     plus, minus = G.beta0 + h, G.beta0 - h
     dq_plus, ds_plus = heat_and_entropy_change(G, plus)
     dq_minus, ds_minus = heat_and_entropy_change(G, minus)
@@ -181,34 +165,34 @@ def _fd_slopes(G: GibbsMatrix, h: float | None) -> tuple[float, float]:
             (ds_plus - ds_minus) / (2.0 * h))
 
 
-def slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
+def slope_numeric(G: GibbsMatrix) -> float:
     """Tangent slope by central finite difference of beta <dQ> at beta0."""
-    return _fd_slopes(G, h)[0]
+    return _fd_slopes(G)[0]
 
 
-def entropy_slope_numeric(G: GibbsMatrix, h: float | None = None) -> float:
+def entropy_slope_numeric(G: GibbsMatrix) -> float:
     """Central finite difference of <dS>(beta) at beta0.
 
     Shares the tangent of beta <dQ> at beta0, so it must match
     :func:`slope_numeric` to finite-difference accuracy.
     """
-    return _fd_slopes(G, h)[1]
+    return _fd_slopes(G)[1]
 
 
-def slope_bundle(G: GibbsMatrix, h: float | None = None) -> SlopeBundle:
+def slope_bundle(G: GibbsMatrix) -> SlopeBundle:
     """All four slope routes, cross-validated on construction."""
     return SlopeBundle(
         direct=slope_direct(G),
         symmetrized=slope_symmetrized(G),
         fluctuation=slope_fluctuation(G),
-        numeric=slope_numeric(G, h),
+        numeric=slope_numeric(G),
     )
 
 
 def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
     """The slope comparisons of :class:`SlopeBundle` plus the common tangent,
     reported rather than raised."""
-    numeric, entropy_numeric = _fd_slopes(G, None)
+    numeric, entropy_numeric = _fd_slopes(G)
     return _slope_reports(slope_direct(G), slope_symmetrized(G),
                           slope_fluctuation(G), numeric, entropy_numeric)
 
@@ -229,12 +213,6 @@ def cumulant_deviation(G: GibbsMatrix, t: float) -> float:
     joint, dq, k1, k2 = _heat_cumulants(G)
     generating = math.log(_expectation_sum(joint, np.exp(t * dq)))
     return abs(generating - (k1 * t + 0.5 * k2 * t * t))
-
-
-def cumulant_check(G: GibbsMatrix, t_values) -> float:
-    """Max truncation deviation of the second-order cumulant expansion over
-    the given t grid."""
-    return max(cumulant_deviation(G, t) for t in t_values)
 
 
 def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
@@ -283,7 +261,7 @@ class PerturbationGenerator:
         if not np.all(np.isfinite(t)):
             raise InvalidInputError("generator entries must be finite")
         col = np.abs(t.sum(axis=0)).max()
-        if col > 1e-12:
+        if col > SUM_TOL:
             raise InvalidInputError(
                 f"generator column sums must vanish, worst deviation {col:.3e}")
         object.__setattr__(self, "t_matrix", t)

@@ -41,7 +41,6 @@ from .fluctuation import heat_and_entropy_change
 
 __all__ = [
     "SpinBosonParams",
-    "TripletBlock",
     "DegenerateBlockError",
     "TAIL_TOL",
     "MAX_BETA0",
@@ -66,8 +65,9 @@ BLOCK_GAP_TOL = 1e-10
 #: iteration guard of the direct Lerch series
 _MAX_SERIES_TERMS = 10_000_000
 
-#: largest beta0 whose closed form stays representable: e^{3 beta0} <= DBL_MAX
-MAX_BETA0 = math.log(sys.float_info.max) / 3.0
+#: largest beta0 whose closed-form entries are all finite: one ulp below
+#: (log(DBL_MAX) - log 32) / 3, where t33's denominator 32 e^{3 beta0} overflows
+MAX_BETA0 = math.nextafter((math.log(sys.float_info.max) - math.log(32.0)) / 3.0, 0.0)
 
 
 class DegenerateBlockError(ArithmeticError):
@@ -76,12 +76,13 @@ class DegenerateBlockError(ArithmeticError):
     coupling."""
 
 
-def fock_cutoff(beta0: float, tol: float = TAIL_TOL) -> int:
-    """Smallest oscillator cutoff n with exp(-beta0 n) / (1 - exp(-beta0)) <= tol."""
+def fock_cutoff(beta0: float) -> int:
+    """Smallest oscillator cutoff n with
+    exp(-beta0 n) / (1 - exp(-beta0)) <= ``TAIL_TOL``."""
     beta0 = float(beta0)
     if not (beta0 > 0.0) or not math.isfinite(beta0):
         raise InvalidInputError("beta0 must be positive and finite")
-    bound = math.log(tol) + math.log1p(-math.exp(-beta0))
+    bound = math.log(TAIL_TOL) + math.log1p(-math.exp(-beta0))
     return max(1, int(math.ceil(-bound / beta0)))
 
 
@@ -118,17 +119,9 @@ class SpinBosonParams:
         object.__setattr__(self, "n_max", n_max)
 
 
-@dataclass(frozen=True, eq=False)
-class TripletBlock:
-    """One three-dimensional invariant block of the coupled Hamiltonian,
-    spanned by |1, n-1>, |0, n>, |-1, n+1>."""
-
-    n: int
-    matrix: np.ndarray
-
-
-def triplet_block(n: int, lam: float) -> TripletBlock:
-    """Block Hamiltonian with diagonal n + 1/2 and couplings
+def triplet_block(n: int, lam: float) -> np.ndarray:
+    """Hamiltonian of the n-th three-dimensional invariant block, spanned by
+    |1, n-1>, |0, n>, |-1, n+1>: diagonal n + 1/2 and couplings
     lam sqrt(2n), lam sqrt(2n + 2)."""
     if n < 1:
         raise InvalidInputError("triplet index starts at 1")
@@ -142,7 +135,7 @@ def triplet_block(n: int, lam: float) -> TripletBlock:
         [0.0, b, diag],
     ])
     matrix.setflags(write=False)
-    return TripletBlock(n=int(n), matrix=matrix)
+    return matrix
 
 
 def triplet_eigenvalues(n: int, lam: float) -> np.ndarray:
@@ -201,12 +194,14 @@ def analytic_entries(beta0: float) -> np.ndarray:
     Index order (1, 0, -1) for both rows and columns.  The middle entry is
     exactly 1/2 for every bath temperature.  coth^-1(e^{beta0/2}) equals
     atanh(e^{-beta0/2}) on this domain, so one inverse hyperbolic function
-    covers all entries.  Defined for 0 < beta0 <= :data:`MAX_BETA0`.
+    covers all entries.  Defined for 0 < beta0 <= :data:`MAX_BETA0`, past
+    which they overflow.
     """
     beta0 = float(beta0)
     if not 0.0 < beta0 <= MAX_BETA0:
         raise InvalidInputError(
-            f"beta0 must lie in (0, log(DBL_MAX)/3 = {MAX_BETA0!r}], got {beta0!r}")
+            f"beta0 must lie in (0, MAX_BETA0 = {MAX_BETA0!r}], where the closed "
+            f"form's entries are finite; got {beta0!r}")
     x = math.exp(beta0)
     h = math.exp(0.5 * beta0)
     u = math.atanh(1.0 / h)
@@ -288,8 +283,7 @@ def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
     accumulate(np.array([[0.5, coupling], [coupling, 0.5]]), [(1, 0), (2, 1)])
     # triplets up to n_max + 1 so every kept initial state has its full block
     for n in range(1, n_max + 2):
-        block = triplet_block(n, params.lam)
-        accumulate(block.matrix, [(0, n - 1), (1, n), (2, n + 1)])
+        accumulate(triplet_block(n, params.lam), [(0, n - 1), (1, n), (2, n + 1)])
     return TransitionMatrix(t)
 
 
@@ -297,12 +291,12 @@ def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
 # entropy-transfer extremum
 # ---------------------------------------------------------------------------
 
-def delta_s_argmax(beta0: float, tol: float = 1e-6) -> float:
+def delta_s_argmax(beta0: float) -> float:
     """Inverse temperature in (0, beta0) maximizing |<dS>|.
 
     Golden-section search on the magnitude of the entropy change of a Gibbs
     initial state; returns the bracket midpoint once the bracket shrinks
-    below ``tol``.  When no interior extremum exists the search simply
+    below 1e-6.  When no interior extremum exists the search simply
     converges to the better boundary.
     """
     beta0 = float(beta0)
@@ -319,7 +313,7 @@ def delta_s_argmax(beta0: float, tol: float = 1e-6) -> float:
     right = lo + inv_phi * (hi - lo)
     f_left = magnitude(left)
     f_right = magnitude(right)
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         if f_left > f_right:
             hi, right, f_right = right, left, f_left
             left = hi - inv_phi * (hi - lo)

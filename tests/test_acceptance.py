@@ -36,7 +36,7 @@ def gibbs_instances(count, start_seed):
     key = (count, start_seed)
     if key not in _instances:
         _instances[key] = [
-            nt.random_gibbs_instance(2 + k % 15, start_seed + k).gibbs()
+            nt.random_gibbs_instance(2 + k % 15, start_seed + k)
             for k in range(count)
         ]
     return _instances[key]
@@ -91,7 +91,7 @@ def test_criterion_04_slope_cross_validation():
     worst_closed = worst_numeric = worst_tangent = 0.0
     most_negative = 0.0
     for k in range(500):
-        G = nt.random_gibbs_instance(2 + k % 15, 50_000 + k).gibbs()
+        G = nt.random_gibbs_instance(2 + k % 15, 50_000 + k)
         bundle = nt.slope_bundle(G)
         scale = max(1.0, abs(bundle.direct))
         worst_closed = max(worst_closed,

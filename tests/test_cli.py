@@ -77,16 +77,72 @@ class TestExample:
     def test_nonpositive_beta0_is_an_input_error(self, capsys):
         assert run_cli("example", "spin1", "--beta0", "-1.0") == 2
 
-    @pytest.mark.parametrize("beta0", ["237", "400", "1e5"])
+    @pytest.mark.parametrize("beta0", ["237", "400", "1e5", "236", "235.43899233019476"])
     def test_beta0_past_the_closed_form_range_is_an_input_error(self, beta0):
         result = run_process("example", "spin1", "--beta0", beta0)
         assert result.returncode == 2
-        assert "log(DBL_MAX)/3" in result.stderr
+        assert "MAX_BETA0 = 235.43899233019474]" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["example", "verify"])
+    def test_beta0_at_the_bound_has_finite_entries(self, command):
+        # certification fails there (exit 1), but not for non-finite entries
+        argv = (("example", "spin1") if command == "example"
+                else ("verify", "--example", "spin1"))
+        result = run_process(*argv, "--beta0", "235.43899233019474")
+        assert result.returncode == 1
+        assert "finite" not in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_unknown_name_is_a_usage_error(self):
         result = run_process("example", "spin2")
         assert result.returncode == 2
+
+
+class TestSourceOptions:
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("source, option", [
+        (("--random", "4"), ("--beta0", "3")),
+        (("--input",), ("--beta0", "3")),
+        (("--input",), ("--seed", "1")),
+        (("--example", "spin1"), ("--seed", "1")),
+    ])
+    def test_option_the_source_ignores_is_a_usage_error(self, tmp_path, capsys,
+                                                        command, source, option):
+        if source == ("--input",):
+            path = tmp_path / "inst.json"
+            run_cli("gen", "4", "--out", str(path))
+            source = ("--input", str(path))
+        assert run_cli(command, *source, *option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {option[0]} applies only to" in captured.err
+
+    def test_defaults_fill_the_descriptor(self, capsys):
+        assert run_cli("verify", "--random", "3", "--suite", "slopes") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["instance"] == {"source": "random", "n": 3, "seed": 0}
+        assert run_cli("verify", "--example", "spin1", "--suite", "slopes") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["instance"] == {"source": "example", "name": "spin1", "beta0": 1.0}
+
+    @pytest.mark.parametrize("argv", [("gen", "4"), ("verify", "--random", "4")])
+    def test_inaccurate_stationary_solve_exits_one(self, monkeypatch, capsys, argv):
+        exact = np.linalg.solve
+        calls = []
+
+        def solve(a, b):
+            x = exact(a, b)
+            if not calls:  # only the first solve is off
+                x[0] += 1e-9
+            calls.append(1)
+            return x
+
+        monkeypatch.setattr("nlsthermo.genrand.np.linalg.solve", solve)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: stationary solve left residual" in captured.err
 
 
 class TestSweep:

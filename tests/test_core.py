@@ -20,9 +20,7 @@ from nlsthermo.core import (
     TransitionMatrix,
     CertificationError,
     certify_gibbs_matrix,
-    delta_q_rv,
     delta_q_table,
-    delta_s_rv,
     delta_s_table,
     entropy,
     expectation,
@@ -34,7 +32,6 @@ from nlsthermo.core import (
     mean_energy,
     propagate,
     save_instance,
-    second_moment_energy,
     two_point_distribution,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
@@ -229,32 +226,18 @@ class TestExpectation:
         T = random_stochastic(4, 3)
         p = make_gibbs_state(uniform_system(4), 0.7).probabilities
         dist = two_point_distribution(T, p)
-        assert expectation(dist, lambda m, n: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(dist, np.ones((4, 4))) == pytest.approx(1.0, abs=1e-12)
 
     def test_heat_vanishes_for_identity(self):
         system = uniform_system(3)
         dist = two_point_distribution(TransitionMatrix(np.eye(3)),
                                       make_gibbs_state(system, 0.4).probabilities)
-        assert expectation(dist, delta_q_rv(system)) == 0.0
+        assert expectation(dist, delta_q_table(system)) == 0.0
 
     def test_heat_vanishes_at_bath_temperature(self):
-        inst = random_gibbs_instance(5, 8)
-        G = inst.gibbs()
+        G = random_gibbs_instance(5, 8)
         dist = two_point_distribution(G.matrix, G.fixed_point)
-        assert abs(expectation(dist, delta_q_rv(G.system))) <= 1e-12
-
-    def test_zero_probability_pairs_never_evaluated(self):
-        system = uniform_system(3)
-        dist = two_point_distribution(TransitionMatrix(np.eye(3)),
-                                      make_gibbs_state(system, 0.0).probabilities)
-        seen = []
-
-        def rv(m, n):
-            seen.append((m, n))
-            return 1.0
-
-        expectation(dist, rv)
-        assert seen == [(0, 0), (1, 1), (2, 2)]
+        assert abs(expectation(dist, delta_q_table(G.system))) <= 1e-12
 
     def test_table_nonfinite_values_off_support_are_skipped(self):
         system = uniform_system(2)
@@ -267,17 +250,16 @@ class TestExpectation:
         T = random_stochastic(3, 1)
         p = make_gibbs_state(uniform_system(3), 0.0).probabilities
         dist = two_point_distribution(T, p)
+        values = np.zeros((3, 3))
+        values[1, 2] = math.inf
         with pytest.raises(EvaluationError, match=r"\(m=1, n=2\)"):
-            expectation(dist, lambda m, n: math.inf if (m, n) == (1, 2) else 0.0)
+            expectation(dist, values)
 
-    def test_table_and_callable_agree(self):
-        system = uniform_system(4)
-        T = random_stochastic(4, 5)
-        p = make_gibbs_state(system, 1.3).probabilities
-        dist = two_point_distribution(T, p)
-        a = expectation(dist, delta_q_rv(system))
-        b = expectation(dist, delta_q_table(system))
-        assert a == pytest.approx(b, abs=1e-14)
+    def test_table_shape_must_match_the_joint(self):
+        dist = two_point_distribution(random_stochastic(3, 1),
+                                      ProbabilityVector([0.2, 0.3, 0.5]))
+        with pytest.raises(InvalidInputError, match="shape"):
+            expectation(dist, np.ones((2, 2)))
 
 
 class TestEnergyMoments:
@@ -285,7 +267,6 @@ class TestEnergyMoments:
         system = LevelSystem([1.0, 0.0, -1.0], [1, 1, 1])
         p = ProbabilityVector([1 / 3, 1 / 3, 1 / 3])
         assert mean_energy(system, p) == pytest.approx(0.0, abs=1e-15)
-        assert second_moment_energy(system, p) == pytest.approx(2 / 3, rel=1e-15)
 
     def test_point_mass(self):
         system = LevelSystem([0.3, -1.2, 2.0], [1, 1, 1])
@@ -300,9 +281,7 @@ class TestEnergyMoments:
         w /= w.sum()
         p = ProbabilityVector(w)
         oracle = math.fsum(float(w[i]) * float(energies[i]) for i in range(9))
-        oracle2 = math.fsum(float(w[i]) * float(energies[i]) ** 2 for i in range(9))
         assert mean_energy(system, p) == pytest.approx(oracle, abs=1e-15)
-        assert second_moment_energy(system, p) == pytest.approx(oracle2, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -386,14 +365,14 @@ class TestDeltaRandomVariables:
         system = uniform_system(3)
         p = make_gibbs_state(system, 0.8).probabilities
         dist = two_point_distribution(TransitionMatrix(np.eye(3)), p)
-        rv = delta_s_rv(system, p, dist.final)
-        assert abs(expectation(dist, rv)) <= 1e-14
+        ds = delta_s_table(system, p, dist.final)
+        assert abs(expectation(dist, ds)) <= 1e-14
 
     def test_entropy_increase_vanishes_at_bath_temperature(self):
-        G = random_gibbs_instance(4, 77).gibbs()
+        G = random_gibbs_instance(4, 77)
         dist = two_point_distribution(G.matrix, G.fixed_point)
-        rv = delta_s_rv(G.system, G.fixed_point, dist.final)
-        assert abs(expectation(dist, rv)) <= 1e-12
+        ds = delta_s_table(G.system, G.fixed_point, dist.final)
+        assert abs(expectation(dist, ds)) <= 1e-12
 
     def test_mean_entropy_increase_matches_marginal_form(self):
         # expectation over the joint vs S(q) - S(p): two computation paths
@@ -415,15 +394,15 @@ class TestDeltaRandomVariables:
         assert via_joint == pytest.approx(via_margins, abs=1e-13)
 
     def test_zero_weight_on_support_is_reported(self):
-        # rv built from a mismatched initial distribution hits a zero weight
+        # table built from a mismatched initial distribution hits a zero weight
         system = uniform_system(3)
         p = ProbabilityVector([0.5, 0.25, 0.25])
         T = TransitionMatrix(np.full((3, 3), 1 / 3))
         dist = two_point_distribution(T, p)
         broken = ProbabilityVector([0.0, 0.5, 0.5])
-        rv = delta_s_rv(system, broken, dist.final)
+        ds = delta_s_table(system, broken, dist.final)
         with pytest.raises(EvaluationError, match="n=0"):
-            expectation(dist, rv)
+            expectation(dist, ds)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,7 @@ class TestGeneralJEquation:
                 general_j_oracle(T, p, p0, ptilde), abs=5e-14)
 
     def test_propagated_ptilde_feeds_the_clausius_route(self):
-        inst = random_gibbs_instance(6, 13)
-        G = inst.gibbs()
+        G = random_gibbs_instance(6, 13)
         p = make_gibbs_state(G.system, 2.2).probabilities
         q = propagate(G.matrix, p)
         value = general_j_expectation(G.matrix, p, G.fixed_point, q)
@@ -116,7 +115,7 @@ class TestGeneralJEquation:
 
 class TestHeatJEquation:
     def test_equal_temperatures(self):
-        G = random_gibbs_instance(5, 3).gibbs()
+        G = random_gibbs_instance(5, 3)
         assert j_heat_expectation(G, G.beta0) == pytest.approx(1.0, abs=1e-13)
 
     def test_spin_boson_example(self):
@@ -126,7 +125,7 @@ class TestHeatJEquation:
         assert value == pytest.approx(j_heat_oracle(G, 2.0), abs=1e-12)
 
     def test_random_instance_negative_beta(self):
-        G = random_gibbs_instance(8, 21).gibbs()
+        G = random_gibbs_instance(8, 21)
         value = j_heat_expectation(G, -3.0)
         assert abs(value - 1.0) <= 1e-10
         assert value == pytest.approx(j_heat_oracle(G, -3.0), abs=1e-11)
@@ -135,7 +134,7 @@ class TestHeatJEquation:
         # ptilde = p with the Gibbs fixed point: the same expectation through
         # the probability-ratio route
         for seed in (5, 6):
-            G = random_gibbs_instance(4, seed).gibbs()
+            G = random_gibbs_instance(4, seed)
             for beta in (-4.0, 0.3, 2.5):
                 p = make_gibbs_state(G.system, beta).probabilities
                 via_ratio = general_j_expectation(G.matrix, p, G.fixed_point, p)
@@ -147,7 +146,7 @@ class TestHeatJEquation:
         rng = np.random.default_rng(271828)
         worst_identity = worst_route_gap = 0.0
         for k in range(1000):
-            G = random_gibbs_instance(2 + k % 15, 70_000 + k).gibbs()
+            G = random_gibbs_instance(2 + k % 15, 70_000 + k)
             beta = float(rng.uniform(-10.0, 10.0))
             via_heat = j_heat_expectation(G, beta)
             worst_identity = max(worst_identity, abs(via_heat - 1.0))
@@ -160,7 +159,7 @@ class TestHeatJEquation:
 
 class TestHeatFlow:
     def test_zero_at_equal_temperatures(self):
-        G = random_gibbs_instance(4, 2).gibbs()
+        G = random_gibbs_instance(4, 2)
         report = heat_flow_check(G, G.beta0)
         assert report.holds
         assert abs(report.rhs) <= 1e-13
@@ -172,7 +171,7 @@ class TestHeatFlow:
         assert heat_flow_check(G, 0.5).holds
 
     def test_colder_system_gains_heat(self):
-        G = random_gibbs_instance(5, 15).gibbs()
+        G = random_gibbs_instance(5, 15)
         dq, _ = heat_and_entropy_change(G, 2.0 * G.beta0)
         assert dq >= 0.0
         assert heat_flow_check(G, 2.0 * G.beta0).holds
@@ -193,7 +192,7 @@ class TestClausiusBounds:
         assert bounds.upper.slack > 1e-6
 
     def test_negative_beta_keeps_ordering_with_opposite_heat_terms(self):
-        G = random_gibbs_instance(4, 44).gibbs()
+        G = random_gibbs_instance(4, 44)
         bounds = clausius_bounds(G, -5.0 * G.beta0)
         assert bounds.lower.holds and bounds.upper.holds
         # at negative beta the two heat terms bracket with opposite signs
@@ -202,7 +201,7 @@ class TestClausiusBounds:
 
 class TestEntropyFlow:
     def test_zero_at_equal_temperatures(self):
-        G = random_gibbs_instance(3, 9).gibbs()
+        G = random_gibbs_instance(3, 9)
         report = entropy_flow_check(G, G.beta0)
         assert report.holds
         assert abs(report.rhs) <= 1e-13
@@ -214,13 +213,13 @@ class TestEntropyFlow:
         assert entropy_flow_check(G, 0.1).holds
 
     def test_colder_system_gains_entropy(self):
-        G = random_gibbs_instance(6, 30).gibbs()
+        G = random_gibbs_instance(6, 30)
         _, ds = heat_and_entropy_change(G, 4.0 * G.beta0)
         assert ds >= 0.0
         assert entropy_flow_check(G, 4.0 * G.beta0).holds
 
     def test_negative_beta_is_outside_the_hypothesis(self):
-        G = random_gibbs_instance(3, 1).gibbs()
+        G = random_gibbs_instance(3, 1)
         with pytest.raises(InvalidInputError):
             entropy_flow_check(G, -0.5)
 
@@ -320,7 +319,7 @@ class TestBistochasticLimit:
 # +/-800 drive some Gibbs weights of the wider spectra (spin-1, N = 3) to
 # exactly zero, so the p > 0 mask is hit both ways
 WIDE_GRID = np.concatenate(([-800.0], np.linspace(-50.0, 50.0, 41), [800.0]))
-GRID_CASES = [pytest.param(lambda n=n: random_gibbs_instance(n, 70 + n).gibbs(),
+GRID_CASES = [pytest.param(lambda n=n: random_gibbs_instance(n, 70 + n),
                            id=f"random-{n}") for n in (3, 8, 32)]
 GRID_CASES.append(pytest.param(lambda: spin1_gibbs_matrix(1.0), id="spin1"))
 
@@ -383,7 +382,7 @@ class TestGridSuites:
         assert np.isnan(grid.kl_after[[0, -1]]).all()
 
     def test_negative_grid_has_no_entropy_flow_report(self):
-        G = random_gibbs_instance(4, 3).gibbs()
+        G = random_gibbs_instance(4, 3)
         grid = grid_pass(G, np.linspace(-5.0, -1.0, 9), identities=True)
         labels = [c.label for c in inequality_suite(grid)]
         assert len(labels) == 4
@@ -401,7 +400,7 @@ class TestGridSuites:
             "[beta=-2]", "[beta=-2]", "[beta=-2]", "[beta=0.5]", "[beta=-2]"]
 
     def test_rejects_a_nonfinite_beta(self):
-        G = random_gibbs_instance(4, 3).gibbs()
+        G = random_gibbs_instance(4, 3)
         with pytest.raises(InvalidInputError):
             grid_pass(G, [0.0, math.inf])
 
@@ -409,7 +408,7 @@ class TestGridSuites:
         # rounding in the log-space terms overflows exp at these betas; both
         # paths report inf, and the suite warning filter turns any numpy
         # overflow warning into a failure here
-        G = random_gibbs_instance(5, 2).gibbs()
+        G = random_gibbs_instance(5, 2)
         betas = np.linspace(-1e300, 1e300, 101)
         grid = grid_pass(G, betas, identities=True)
         assert np.isinf(grid.j_heat).any()
@@ -432,7 +431,7 @@ class TestCertificationSuite:
         assert all(r.holds and r.slack >= 0.0 for r in reports)
         assert all(r.slack == r.rhs - r.lhs for r in reports)
         np.testing.assert_array_equal(G.matrix.entries, inst.matrix.entries)
-        assert G.fixed_point.weights.tolist() == inst.gibbs().fixed_point.weights.tolist()
+        assert G.fixed_point.weights.tolist() == inst.fixed_point.weights.tolist()
 
     @pytest.mark.parametrize("entry, failing", [
         (1.005e-10, [0]),                 # inside the report slack, outside the rule

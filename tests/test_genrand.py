@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from nlsthermo import genrand
 from nlsthermo.core import (
+    EvaluationError,
+    GibbsMatrix,
     InvalidInputError,
     TransitionMatrix,
     certify_gibbs_matrix,
@@ -23,6 +26,22 @@ FIXTURE_2_12345 = np.array([
     [0.22185585455733137, 0.31898709923527263],
     [0.7781441454426687, 0.6810129007647274],
 ])
+
+
+def spoil_next_solve(monkeypatch):
+    """Make the next ``np.linalg.solve`` call in genrand off by 1e-9 in its
+    first entry; later calls are exact."""
+    exact = np.linalg.solve
+    calls = []
+
+    def solve(a, b):
+        x = exact(a, b)
+        if not calls:
+            x[0] += 1e-9
+        calls.append(1)
+        return x
+
+    monkeypatch.setattr(genrand.np.linalg, "solve", solve)
 
 
 def power_iteration(T, iterations=20_000, tol=1e-15):
@@ -74,6 +93,11 @@ class TestStationaryDistribution:
             np.testing.assert_allclose(p.weights, power_iteration(T),
                                        rtol=0, atol=1e-10)
 
+    def test_inaccurate_solve_is_an_evaluation_error(self, monkeypatch):
+        spoil_next_solve(monkeypatch)
+        with pytest.raises(EvaluationError, match="stationary solve left residual"):
+            stationary_distribution(random_stochastic(4, 3))
+
 
 class TestRandomGibbsInstance:
     def test_gibbs_state_reproduces_the_stationary_distribution(self):
@@ -102,6 +126,12 @@ class TestRandomGibbsInstance:
             assert w.min() >= 1e-6
             assert np.diff(np.sort(w)).min() >= 1e-6
 
+    def test_returns_the_certified_gibbs_matrix(self):
+        G = random_gibbs_instance(4, 6)
+        assert isinstance(G, GibbsMatrix)
+        p0 = stationary_distribution(G.matrix)
+        np.testing.assert_allclose(G.fixed_point.weights, p0.weights, rtol=0, atol=1e-12)
+
     def test_unit_degeneracies_and_unit_beta0(self):
         inst = random_gibbs_instance(3, 0)
         assert inst.beta0 == 1.0
@@ -111,7 +141,7 @@ class TestRandomGibbsInstance:
         # all three curves vanish at beta0 and keep the two-sided ordering
         from nlsthermo.cli import sweep_records
         inst = random_gibbs_instance(4, 2024)
-        records = sweep_records(inst.gibbs(), np.linspace(-10, 10, 81))
+        records = sweep_records(inst, np.linspace(-10, 10, 81))
         at_beta0 = min(records, key=lambda r: abs(r.beta - 1.0))
         assert abs(at_beta0.beta_dQ) <= 1e-10
         assert abs(at_beta0.beta0_dQ) <= 1e-10

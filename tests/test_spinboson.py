@@ -13,6 +13,7 @@ from nlsthermo.spinboson import (
     DegenerateBlockError,
     SpinBosonParams,
     _block_mixture,
+    analytic_entries,
     analytic_transition_matrix,
     delta_s_argmax,
     fock_cutoff,
@@ -127,16 +128,24 @@ class TestAnalyticMatrix:
         with pytest.raises(InvalidInputError):
             analytic_transition_matrix(-1.0)
 
-    @pytest.mark.parametrize("beta0", [237.0, 400.0, 1e5, 1e308])
+    @pytest.mark.parametrize("beta0", [236.0, 237.0, 400.0, 1e5, 1e308])
     def test_beta0_past_the_double_range_names_the_bound(self, beta0):
-        # e^{3 beta0} overflows past log(DBL_MAX)/3 = 236.59...
-        with pytest.raises(InvalidInputError, match=r"log\(DBL_MAX\)/3 = 236\.59"):
+        # 32 e^{3 beta0} overflows past (log(DBL_MAX) - log 32)/3 = 235.44...
+        with pytest.raises(InvalidInputError, match=r"MAX_BETA0 = 235\.43899233019474\]"):
             analytic_transition_matrix(beta0)
 
     def test_bound_is_where_the_cube_overflows(self):
-        assert math.isfinite(math.exp(MAX_BETA0) ** 3)
-        with pytest.raises(OverflowError):
-            math.exp(MAX_BETA0 + 1e-9) ** 3
+        # t33's denominator 32 e^{3 beta0} is finite at the bound, inf one ulp above
+        above = math.nextafter(MAX_BETA0, math.inf)
+        assert math.isfinite(32.0 * math.exp(MAX_BETA0) ** 3)
+        assert math.isinf(32.0 * math.exp(above) ** 3)
+        assert np.isfinite(analytic_entries(MAX_BETA0)).all()
+        with pytest.raises(InvalidInputError, match="MAX_BETA0"):
+            analytic_entries(above)
+
+    def test_entries_stay_finite_up_to_the_bound(self):
+        for beta0 in np.linspace(150.0, MAX_BETA0, 341).tolist():
+            assert np.isfinite(analytic_entries(beta0)).all(), beta0
 
 
 class TestParams:
@@ -169,13 +178,12 @@ class TestTripletBlocks:
             [0.8 * math.sqrt(6.0), 3.5, 0.8 * math.sqrt(8.0)],
             [0.0, 0.8 * math.sqrt(8.0), 3.5],
         ])
-        np.testing.assert_allclose(block.matrix, expected, rtol=1e-15)
+        np.testing.assert_allclose(block, expected, rtol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.7, 1.3])
     def test_closed_form_eigenvalues(self, lam):
         for n in range(1, 42):
-            block = triplet_block(n, lam)
-            computed = np.linalg.eigvalsh(block.matrix)
+            computed = np.linalg.eigvalsh(triplet_block(n, lam))
             np.testing.assert_allclose(computed, triplet_eigenvalues(n, lam),
                                        rtol=0, atol=1e-10)
 

@@ -45,30 +45,32 @@ SUITES = ("jequation", "inequalities", "slopes", "cumulant")
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One emitted row: beta, beta <dQ>, beta0 <dQ>, <dS>.
-
-    Construction re-checks the two-sided Clausius ordering; a violation can
-    only come from an uncertified matrix slipping through, so it is treated
-    as an internal error rather than reported.
-    """
+    """One emitted row: beta, beta <dQ>, beta0 <dQ>, <dS>."""
 
     beta: float
     beta_dQ: float
     beta0_dQ: float
     dS: float
 
-    def __post_init__(self):
-        if self.beta0_dQ - self.dS > SLACK_TOL or self.dS - self.beta_dQ > SLACK_TOL:
-            raise EvaluationError(
-                f"clausius ordering violated at beta={self.beta!r}")
-
 
 def sweep_records(G, betas) -> list[SweepRecord]:
-    """The three swept quantities of Gibbs matrix ``G`` on a beta grid, in order."""
+    """The three swept quantities of Gibbs matrix ``G`` on a beta grid, in order.
+
+    The two-sided Clausius ordering is re-checked over the whole grid; a
+    violation can only come from an uncertified matrix slipping through, so
+    it is raised as an internal error naming the first violating beta rather
+    than reported.
+    """
     grid = grid_pass(G, betas)
-    return [SweepRecord(beta=beta, beta_dQ=beta * dq, beta0_dQ=G.beta0 * dq, dS=ds)
-            for beta, dq, ds in zip(grid.betas.tolist(), grid.dq.tolist(),
-                                    grid.ds.tolist())]
+    # inf and NaN pass through silently, as in scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_dq, beta0_dq = grid.betas * grid.dq, G.beta0 * grid.dq
+        violated = (beta0_dq - grid.ds > SLACK_TOL) | (grid.ds - beta_dq > SLACK_TOL)
+    if violated.any():
+        beta = float(grid.betas[np.argmax(violated)])
+        raise EvaluationError(f"clausius ordering violated at beta={beta!r}")
+    return [SweepRecord(*row) for row in zip(grid.betas.tolist(), beta_dq.tolist(),
+                                             beta0_dq.tolist(), grid.ds.tolist())]
 
 
 # ---------------------------------------------------------------------------

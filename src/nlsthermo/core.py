@@ -63,6 +63,9 @@ SUM_TOL = 1e-12
 #: absolute tolerance on fixed-point residuals of externally supplied matrices
 FIXED_POINT_TOL = 1e-10
 
+#: largest degeneracy: every integer up to it is an exact double
+MAX_DEGENERACY = 2.0 ** 53
+
 
 class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
@@ -98,7 +101,8 @@ def _weights_of(p) -> np.ndarray:
 class LevelSystem:
     """Energies and degeneracies of an N-level system, N >= 2.
 
-    Energies are dimensionless reals; degeneracies are positive integers.
+    Energies are dimensionless reals; degeneracies are integers in
+    [1, 2**53], the range a double holds exactly.
     """
 
     energies: np.ndarray
@@ -115,8 +119,8 @@ class LevelSystem:
             raise InvalidInputError("a level system needs at least two levels")
         if not np.all(np.isfinite(e)):
             raise InvalidInputError("energies must be finite")
-        if not np.all(np.isfinite(d)) or np.any(d < 1) or np.any(d != np.round(d)):
-            raise InvalidInputError("degeneracies must be integers >= 1")
+        if not (np.all(d >= 1) and np.all(d <= MAX_DEGENERACY) and np.all(d == np.round(d))):
+            raise InvalidInputError("degeneracies must be integers in [1, 2**53]")
         object.__setattr__(self, "energies", _freeze(e))
         object.__setattr__(self, "degeneracies", _freeze(d.astype(np.int64)))
 
@@ -414,9 +418,10 @@ def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
     ``q`` must be the propagated distribution of ``p`` under the transition
     matrix being analysed.  Then every outcome (m, n) with positive joint
     probability has p_n > 0 (the joint is T[m,n] p_n) and q_m >= T[m,n] p_n > 0,
-    so the logarithms are finite wherever the expectation reads them; a zero
-    weight gives a -inf log, which only an outcome of a joint that does not
-    match (p, q) can reach, and :func:`expectation` reports that as an
+    so the logarithms are finite wherever the expectation reads them.  A zero
+    weight gives a non-finite entry (-inf in a column with p_n = 0, +inf in a
+    row with q_m = 0), which only an outcome of a joint that does not match
+    (p, q) can reach, and :func:`expectation` reports that as an
     :class:`EvaluationError`.
 
     Its mean over the matching two-point distribution is S(q) - S(p).
@@ -424,7 +429,10 @@ def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
     d = system.degeneracy_weights()
     lp = _log_weight_ratio(_weights_of(p), d)
     lq = _log_weight_ratio(_weights_of(q), d)
-    return _freeze(lp[None, :] - lq[:, None])
+    # a column with p_n = 0 stays -inf, skipping -inf - (-inf) where q_m = 0 too
+    table = np.full((lq.shape[0], lp.shape[0]), -np.inf)
+    np.subtract(lp[None, :], lq[:, None], out=table, where=np.isfinite(lp)[None, :])
+    return _freeze(table)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +525,15 @@ def instance_from_dict(obj) -> tuple[LevelSystem, np.ndarray, float]:
     for key in ("energies", "degeneracies", "transition"):
         try:
             arrays.append(np.asarray(obj[key], dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"field '{key}': {exc}") from exc
     energies, degeneracies, transition = arrays
     if not isinstance(obj["beta0"], (int, float)) or isinstance(obj["beta0"], bool):
         raise InvalidInputError("field 'beta0': must be a number")
-    beta0 = float(obj["beta0"])
+    try:
+        beta0 = float(obj["beta0"])
+    except OverflowError as exc:  # a JSON integer past the double range
+        raise InvalidInputError(f"field 'beta0': {exc}") from exc
     if not math.isfinite(beta0):
         raise InvalidInputError("field 'beta0': must be finite")
     try:

@@ -64,6 +64,13 @@ class TestTypeValidation:
         with pytest.raises(InvalidInputError):
             LevelSystem([0.0, 1.0], [1, 1.5])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degeneracy", [1e300, 2.0 ** 53 + 2, math.inf, math.nan])
+    def test_level_system_accepts_only_exact_integer_degeneracies(self, degeneracy):
+        with pytest.raises(InvalidInputError, match=r"integers in \[1, 2\*\*53\]"):
+            LevelSystem([0.0, 1.0], [1, degeneracy])
+        assert LevelSystem([0.0, 1.0], [1, 2 ** 53]).degeneracies[1] == 2 ** 53
+
     def test_probability_vector_rejects_negative_and_unnormalized(self):
         with pytest.raises(InvalidInputError):
             ProbabilityVector([-0.1, 1.1])
@@ -392,6 +399,14 @@ class TestDeltaRandomVariables:
         via_joint = expectation(dist, delta_q_table(inst.system))
         via_margins = mean_energy(inst.system, dist.final) - mean_energy(inst.system, p)
         assert via_joint == pytest.approx(via_margins, abs=1e-13)
+
+    def test_point_masses_give_a_table_without_warnings(self):
+        # -inf - (-inf) at the off-support outcome (m=1, n=1) used to warn
+        table = delta_s_table(LevelSystem([0, 1], [1, 1]), [1, 0], [1, 0])
+        assert table[0, 0] == 0.0
+        assert not np.isfinite(table[:, 1]).any() and table[1, 0] == math.inf
+        dist = two_point_distribution(TransitionMatrix(np.eye(2)), ProbabilityVector([1, 0]))
+        assert expectation(dist, table) == 0.0
 
     def test_zero_weight_on_support_is_reported(self):
         # table built from a mismatched initial distribution hits a zero weight

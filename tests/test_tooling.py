@@ -37,3 +37,15 @@ def test_traced_verify_runs_and_records_certification(spans, tmp_path):
     assert layers["core.certify_gibbs_matrix.calls"] == 1
     assert layers["core.GibbsMatrix.calls"] >= 1
     assert layers["core.GibbsMatrix.failed"] == 0
+
+
+def test_traced_sweep_runs_and_records_its_records(spans, tmp_path):
+    out = tmp_path / "sweep.csv"
+    with spans.Tracer() as tracer:
+        code = tracer.run_op(0, main, ["sweep", "--random", "3", "--steps", "301",
+                                       "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 302
+    layers = tracer.layers()
+    assert layers["cli.sweep_records.calls"] == 1
+    assert layers["cli.sweep_records.failed"] == 0

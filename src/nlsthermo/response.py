@@ -127,15 +127,18 @@ def slope_symmetrized(G: GibbsMatrix) -> float:
     """Tangent slope as a sum of nonnegative terms (hence >= 0 exactly)."""
     energies = G.system.energies
     flow = G.matrix.entries * G.fixed_point.weights[None, :]
-    gap2 = (energies[None, :] - energies[:, None]) ** 2
-    return G.beta0 * float(0.25 * np.sum((flow + flow.T) * gap2))
+    flow = flow + flow.T
+    # gaps only where the flow is positive, so a vast unused gap cannot overflow
+    gap = np.where(flow > 0.0, energies[None, :] - energies[:, None], 0.0)
+    return G.beta0 * float(0.25 * np.sum(flow * gap ** 2))
 
 
 def _heat_cumulants(G: GibbsMatrix):
-    """(joint, dQ table, k1, k2): the fixed-point two-point distribution and
-    the first two cumulants of the heat under it."""
+    """(joint, dQ table, k1, k2): the fixed-point two-point distribution, the
+    heat on its support (0 elsewhere, so unused gaps cannot overflow), and the
+    first two cumulants of the heat under it."""
     joint = G.matrix.entries * G.fixed_point.weights[None, :]
-    dq = delta_q_table(G.system)
+    dq = np.where(joint > 0.0, delta_q_table(G.system), 0.0)
     k1 = _expectation_sum(joint, dq)
     k2 = _expectation_sum(joint, dq * dq) - k1 * k1
     return joint, dq, k1, k2

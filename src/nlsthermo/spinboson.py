@@ -11,9 +11,9 @@ fixed.
 Two independent constructions of the same matrix live here:
 
 * :func:`analytic_transition_matrix` evaluates the closed forms;
-* :func:`numerical_transition_matrix` diagonalizes the coupled Hamiltonian
-  block by block on a truncated oscillator space and time-averages exactly
-  through eigenprojector sandwiches.
+* :func:`numerical_transition_matrix` diagonalizes the coupled Hamiltonian's
+  invariant blocks as stacked arrays on a truncated oscillator space and
+  time-averages exactly through eigenprojector sandwiches.
 
 The invariant blocks are one singlet (the bottom state, annihilated by the
 interaction), one doublet, and a ladder of triplets; within each block the
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -43,7 +42,9 @@ __all__ = [
     "SpinBosonParams",
     "DegenerateBlockError",
     "TAIL_TOL",
+    "MIN_BETA0",
     "MAX_BETA0",
+    "MAX_CUTOFF",
     "fock_cutoff",
     "lerch_phi",
     "spin1_level_system",
@@ -62,8 +63,17 @@ TAIL_TOL = 1e-12
 #: minimal eigenvalue separation tolerated inside one invariant block
 BLOCK_GAP_TOL = 1e-10
 
-#: iteration guard of the direct Lerch series
-_MAX_SERIES_TERMS = 10_000_000
+#: largest oscillator cutoff the oracle accepts: fock_cutoff(1e-6), the
+#: smallest admitted beta0; the oracle's cost grows linearly with the cutoff
+MAX_CUTOFF = 41_446_533
+_ORACLE_MIN_BETA0 = 1e-6
+
+#: triplet blocks per stacked diagonalization, which keeps every array O(chunk)
+_CHUNK = 1024
+
+#: smallest beta0 whose closed-form entries all evaluate: from 2^-52 down,
+#: e^{beta0/2} rounds to 1 and atanh(e^{-beta0/2}) diverges
+MIN_BETA0 = math.nextafter(sys.float_info.epsilon, math.inf)
 
 #: largest beta0 whose closed-form entries are all finite: one ulp below
 #: (log(DBL_MAX) - log 32) / 3, where t33's denominator 32 e^{3 beta0} overflows
@@ -77,13 +87,17 @@ class DegenerateBlockError(ArithmeticError):
 
 
 def fock_cutoff(beta0: float) -> int:
-    """Smallest oscillator cutoff n with
-    exp(-beta0 n) / (1 - exp(-beta0)) <= ``TAIL_TOL``."""
+    """Smallest oscillator cutoff n with exp(-beta0 n) / (1 - exp(-beta0))
+    <= ``TAIL_TOL``; one above ``MAX_CUTOFF`` is an input error."""
     beta0 = float(beta0)
     if not (beta0 > 0.0) or not math.isfinite(beta0):
         raise InvalidInputError("beta0 must be positive and finite")
-    bound = math.log(TAIL_TOL) + math.log1p(-math.exp(-beta0))
-    return max(1, int(math.ceil(-bound / beta0)))
+    cutoff = -(math.log(TAIL_TOL) + math.log(-math.expm1(-beta0))) / beta0
+    if cutoff > MAX_CUTOFF:
+        raise InvalidInputError(
+            f"beta0 = {beta0!r} needs an oscillator cutoff above MAX_CUTOFF = "
+            f"{MAX_CUTOFF}; the oracle admits beta0 >= {_ORACLE_MIN_BETA0:g}")
+    return max(1, math.ceil(cutoff))
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,8 @@ class SpinBosonParams:
 
     ``n_max=None`` picks the smallest cutoff satisfying the geometric tail
     bound; an explicit cutoff must satisfy it too, so truncation error stays
-    below the comparison tolerances used downstream.
+    below the comparison tolerances used downstream.  Neither may exceed
+    ``MAX_CUTOFF``, which bounds the oracle's time.
     """
 
     beta0: float
@@ -102,40 +117,33 @@ class SpinBosonParams:
     def __post_init__(self):
         beta0 = float(self.beta0)
         lam = float(self.lam)
-        if not math.isfinite(beta0) or beta0 <= 0.0:
-            raise InvalidInputError("beta0 must be positive and finite")
         if not math.isfinite(lam) or lam == 0.0:
             raise InvalidInputError("coupling must be nonzero and finite")
-        n_max = fock_cutoff(beta0) if self.n_max is None else int(self.n_max)
-        if n_max < 1:
-            raise InvalidInputError("n_max must be a positive integer")
-        tail = math.exp(-beta0 * n_max) / -math.expm1(-beta0)
-        if tail > TAIL_TOL:
+        needed = fock_cutoff(beta0)  # also rejects a beta0 not positive and finite
+        n_max = needed if self.n_max is None else int(self.n_max)
+        if not needed <= n_max <= MAX_CUTOFF:
             raise InvalidInputError(
-                f"truncation tail {tail:.3e} exceeds {TAIL_TOL:g}; "
-                f"raise n_max to at least {fock_cutoff(beta0)}")
+                f"n_max = {n_max} must lie in [{needed}, MAX_CUTOFF = {MAX_CUTOFF}]: "
+                f"a smaller cutoff leaves a truncation tail above {TAIL_TOL:g}")
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "n_max", n_max)
 
 
-def triplet_block(n: int, lam: float) -> np.ndarray:
+def triplet_block(n, lam: float) -> np.ndarray:
     """Hamiltonian of the n-th three-dimensional invariant block, spanned by
     |1, n-1>, |0, n>, |-1, n+1>: diagonal n + 1/2 and couplings
-    lam sqrt(2n), lam sqrt(2n + 2)."""
-    if n < 1:
+    lam sqrt(2n), lam sqrt(2n + 2).  An array of n gives the stack of blocks,
+    shape n.shape + (3, 3)."""
+    n = np.asarray(n, dtype=float)
+    if (n < 1).any():
         raise InvalidInputError("triplet index starts at 1")
-    lam = float(lam)
-    a = lam * math.sqrt(2.0 * n)
-    b = lam * math.sqrt(2.0 * n + 2.0)
-    diag = n + 0.5
-    matrix = np.array([
-        [diag, a, 0.0],
-        [a, diag, b],
-        [0.0, b, diag],
-    ])
-    matrix.setflags(write=False)
-    return matrix
+    blocks = np.zeros(n.shape + (3, 3))
+    blocks[..., [0, 1, 2], [0, 1, 2]] = (n + 0.5)[..., None]
+    blocks[..., 0, 1] = blocks[..., 1, 0] = lam * np.sqrt(2.0 * n)
+    blocks[..., 1, 2] = blocks[..., 2, 1] = lam * np.sqrt(2.0 * n + 2.0)
+    blocks.setflags(write=False)
+    return blocks
 
 
 def triplet_eigenvalues(n: int, lam: float) -> np.ndarray:
@@ -146,34 +154,35 @@ def triplet_eigenvalues(n: int, lam: float) -> np.ndarray:
     return np.sort(np.array([center - split, center, center + split]))
 
 
-def lerch_phi(z: float, s: float, a: float) -> float:
-    """Lerch's transcendent Phi(z, s, a) = sum_k z^k / (k + a)^s for |z| < 1,
-    a > 0, by direct series summation.
+#: terms of both series in :func:`lerch_phi` (coefficients 4/(2k+3)^2, 1/(2k+1)^2)
+_TERMS = np.arange(40.0)
+_DIRECT = 4.0 / (2.0 * _TERMS + 3.0) ** 2
+_CHI = 1.0 / (2.0 * _TERMS + 1.0) ** 2
+#: largest z at which :func:`lerch_phi` sums its series directly
+_DIRECT_MAX_Z = 0.4
 
-    Stops once the latest term drops below 1e-16 of the running sum (after at
-    least 10 terms); raises :class:`EvaluationError` when the sum is not
-    finite or the iteration guard is exhausted.
+
+def lerch_phi(z: float) -> float:
+    """Lerch's transcendent Phi(z, 2, 3/2) = sum_k z^k / (k + 3/2)^2 on
+    0 <= z < 1, the one case the closed form needs, from 40 terms.
+
+    Up to z = 0.4 the series is summed directly.  Above, with r = sqrt(z),
+    Phi = 4 r^-3 (chi_2(r) - r) for Legendre's chi function
+    chi_2(r) = sum_k r^(2k+1) / (2k+1)^2, and the reflection
+    chi_2(r) = pi^2/8 - ln x ln r / 2 - chi_2(x), x = (1 - r)/(1 + r) < 0.23
+    (L. Lewin, *Polylogarithms and Associated Functions*, 1981, ch. 1),
+    leaves a series in x^2 < 0.051.  Both stay within 6e-15 relative.
     """
     z = float(z)
-    s = float(s)
-    a = float(a)
-    if not (abs(z) < 1.0):
-        raise InvalidInputError("lerch_phi requires |z| < 1")
-    if not (a > 0.0):
-        raise InvalidInputError("lerch_phi requires a > 0")
-    acc = 0.0
-    zk = 1.0
-    for k in range(_MAX_SERIES_TERMS):
-        term = zk / (k + a) ** s
-        acc += term
-        if k >= 10 and abs(term) <= 1e-16 * abs(acc):
-            break
-        zk *= z
-    else:
-        acc = float("nan")
-    if not math.isfinite(acc):
-        raise EvaluationError("Lerch series did not converge")
-    return acc
+    if not 0.0 <= z < 1.0:
+        raise InvalidInputError(f"lerch_phi requires 0 <= z < 1; got {z!r}")
+    if z <= _DIRECT_MAX_Z:
+        return float(z ** _TERMS @ _DIRECT)
+    r = math.sqrt(z)
+    x = (1.0 - z) / (1.0 + r) ** 2
+    chi_x = x * float((x * x) ** _TERMS @ _CHI)
+    excess = math.pi ** 2 / 8.0 - 1.0 + (1.0 - r) - 0.25 * math.log(x) * math.log(z) - chi_x
+    return 4.0 * excess / (r * z)  # excess = chi_2(r) - r
 
 
 def spin1_level_system() -> LevelSystem:
@@ -194,19 +203,19 @@ def analytic_entries(beta0: float) -> np.ndarray:
     Index order (1, 0, -1) for both rows and columns.  The middle entry is
     exactly 1/2 for every bath temperature.  coth^-1(e^{beta0/2}) equals
     atanh(e^{-beta0/2}) on this domain, so one inverse hyperbolic function
-    covers all entries.  Defined for 0 < beta0 <= :data:`MAX_BETA0`, past
-    which they overflow.
+    covers all entries.  Defined for :data:`MIN_BETA0` <= beta0 <=
+    :data:`MAX_BETA0`: below, atanh diverges; above, the entries overflow.
     """
     beta0 = float(beta0)
-    if not 0.0 < beta0 <= MAX_BETA0:
+    if not MIN_BETA0 <= beta0 <= MAX_BETA0:
         raise InvalidInputError(
-            f"beta0 must lie in (0, MAX_BETA0 = {MAX_BETA0!r}], where the closed "
-            f"form's entries are finite; got {beta0!r}")
+            f"beta0 must lie in [MIN_BETA0 = {MIN_BETA0!r}, MAX_BETA0 = {MAX_BETA0!r}], "
+            f"where the closed form's entries are finite; got {beta0!r}")
     x = math.exp(beta0)
     h = math.exp(0.5 * beta0)
     u = math.atanh(1.0 / h)
     s = math.sinh(0.5 * beta0)
-    phi = lerch_phi(math.exp(-beta0), 2.0, 1.5)
+    phi = lerch_phi(math.exp(-beta0))
 
     t11 = (x - 1.0) / 32.0 * (12.0 / (x - 1.0) + 8.0 * h * u + 3.0 / x * phi - 8.0)
     t12 = 0.25 * (1.0 - 2.0 * s * u)
@@ -232,20 +241,18 @@ def spin1_gibbs_matrix(beta0: float) -> GibbsMatrix:
 # time-averaged dynamics oracle
 # ---------------------------------------------------------------------------
 
-def _block_mixture(block: np.ndarray) -> np.ndarray:
-    """Within-block transition kernel of the exact time average.
-
-    Diagonalizes the real symmetric block and sums eigenprojector sandwiches,
-    M[j,i] = sum_k V[i,k]^2 V[j,k]^2; valid only for a simple spectrum, so
-    near-collisions are rejected.
-    """
-    evals, vecs = np.linalg.eigh(block)
-    if block.shape[0] > 1 and np.min(np.diff(evals)) < BLOCK_GAP_TOL:
+def _block_mixture(blocks: np.ndarray) -> np.ndarray:
+    """Within-block transition kernels of the exact time average for a
+    stack of real symmetric blocks (or one): eigenprojector sandwiches
+    M[j,i] = sum_k V[i,k]^2 V[j,k]^2, valid only for a simple spectrum, so
+    near-collisions are rejected."""
+    evals, vecs = np.linalg.eigh(blocks)
+    if np.diff(evals, axis=-1).min() < BLOCK_GAP_TOL:
         raise DegenerateBlockError(
             f"block eigenvalues closer than {BLOCK_GAP_TOL:g}; "
             "time average is ill-defined")
     w = vecs * vecs
-    return w @ w.T
+    return w @ np.swapaxes(w, -1, -2)
 
 
 def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
@@ -255,35 +262,28 @@ def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
     renormalized oscillator Gibbs distribution.  Each product basis state
     lives in exactly one invariant block (singlet, doublet, or triplet);
     summing the within-block kernels weighted by the oscillator occupation
-    gives the 3x3 spin transition matrix.  Block accumulation runs in a fixed
-    index order, so results are bit-stable.
+    gives the 3x3 spin transition matrix.  The triplets are diagonalized in
+    stacks of ``_CHUNK`` blocks, so memory stays O(chunk) for any beta0; the
+    stacks add up in a fixed order, so repeated runs agree bit for bit.
 
     The result does not depend on the coupling strength in
     ``params.lam``; time averaging removes it.
     """
-    n_max = params.n_max
-    weights = np.exp(-params.beta0 * np.arange(n_max + 1, dtype=float))
-    occupation = weights / weights.sum()
-
+    n_max, beta0 = params.n_max, params.beta0
+    # oscillator occupation e^{-beta0 k} / Z of the Gibbs state truncated at n_max
+    norm = math.expm1(-beta0) / math.expm1(-beta0 * (n_max + 1))
     t = np.zeros((3, 3))
-
-    def accumulate(block: np.ndarray, positions) -> None:
-        # positions: (spin index, oscillator index) per block basis vector
-        mixture = _block_mixture(block)
-        for i, (spin_i, osc_i) in enumerate(positions):
-            if osc_i > n_max:
-                continue
-            for j, (spin_j, _) in enumerate(positions):
-                t[spin_j, spin_i] += occupation[osc_i] * mixture[j, i]
-
+    # doublet {|0, 0>, |-1, 1>}: equal diagonal, so every kernel entry is 1/2
+    t[1:, 1:] = 0.5 * norm * np.exp([0.0, -beta0])
     # singlet |-1, 0>: the interaction annihilates it
-    accumulate(np.array([[0.5]]), [(2, 0)])
-    # doublet {|0, 0>, |-1, 1>}
-    coupling = params.lam * math.sqrt(2.0)
-    accumulate(np.array([[0.5, coupling], [coupling, 0.5]]), [(1, 0), (2, 1)])
+    t[2, 2] += norm
     # triplets up to n_max + 1 so every kept initial state has its full block
-    for n in range(1, n_max + 2):
-        accumulate(triplet_block(n, params.lam), [(0, n - 1), (1, n), (2, n + 1)])
+    for start in range(1, n_max + 2, _CHUNK):
+        n = np.arange(start, min(start + _CHUNK, n_max + 2))
+        # basis vector i of block n: spin index i, oscillator index n - 1 + i
+        osc = n[:, None] + np.arange(-1.0, 2.0)
+        weights = np.where(osc <= n_max, norm * np.exp(-beta0 * osc), 0.0)
+        t += np.einsum("bji,bi->ji", _block_mixture(triplet_block(n, params.lam)), weights)
     return TransitionMatrix(t)
 
 
@@ -299,16 +299,13 @@ def delta_s_argmax(beta0: float) -> float:
     below 1e-6.  When no interior extremum exists the search simply
     converges to the better boundary.
     """
-    beta0 = float(beta0)
-    if not math.isfinite(beta0) or beta0 <= 0.0:
-        raise InvalidInputError("beta0 must be positive and finite")
-    G = spin1_gibbs_matrix(beta0)
+    G = spin1_gibbs_matrix(beta0)  # rejects a beta0 outside the closed form's range
 
     def magnitude(beta: float) -> float:
         return abs(heat_and_entropy_change(G, beta)[1])
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, beta0
+    lo, hi = 0.0, G.beta0
     left = hi - inv_phi * (hi - lo)
     right = lo + inv_phi * (hi - lo)
     f_left = magnitude(left)

@@ -98,6 +98,25 @@ class TestExample:
         result = run_process("example", "spin2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("beta0", ["1e-16", "2.2e-16", "5e-324"])
+    @pytest.mark.parametrize("argv", [("example", "spin1"), ("sweep", "--example", "spin1"),
+                                      ("verify", "--example", "spin1")])
+    def test_beta0_below_the_closed_form_range_is_an_input_error(self, capsys, argv, beta0):
+        assert run_cli(*argv, "--beta0", beta0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[MIN_BETA0 = 2.2204460492503136e-16," in captured.err
+
+    def test_oracle_past_its_cutoff_bound_is_an_input_error(self, capsys):
+        assert run_cli("example", "spin1", "--beta0", "1e-9", "--oracle") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_CUTOFF = 41446533; the oracle admits beta0 >= 1e-06" in captured.err
+
+    def test_tiny_beta0_certifies(self, capsys):
+        assert run_cli("example", "spin1", "--beta0", "1e-7") == 0
+        assert json.loads(capsys.readouterr().out)["beta0"] == 1e-7
+
 
 class TestSourceOptions:
     @pytest.mark.parametrize("command", ["sweep", "verify"])
@@ -285,6 +304,20 @@ class TestVerify:
             err = capsys.readouterr().err
             assert "fields 'energies'/'degeneracies'" in err
             assert "integers in [1, 2**53]" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vast_unused_gap_keeps_slopes_and_cumulants_exact(self, tmp_path, capsys):
+        # identity dynamics: every flow off the diagonal is 0, so the gap of
+        # 1e300 must not enter a slope or cumulant table
+        obj = {"energies": [0.0, 1e300], "degeneracies": [1, 1],
+               "transition": [[1.0, 0.0], [0.0, 1.0]], "beta0": 1.0}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("verify", "--input", str(path), "--suite", "slopes",
+                       "--suite", "cumulant") == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert all(c["holds"] and c["lhs"] <= 0.0 for c in checks
+                   if not c["label"].startswith("certification"))
 
     def test_sweep_certification_failure_exits_one(self, tmp_path, capsys):
         good = tmp_path / "good.json"

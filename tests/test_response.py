@@ -149,6 +149,19 @@ class TestSlopeRoutes:
             assert entropy_slope_numeric(G) == _fd_slopes(G, h)[1]
 
 
+class TestVastUnusedGap:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_routes_vanish_without_overflow(self):
+        # a gap of 1e300 that no flow crosses must not reach any table
+        system = LevelSystem([0.0, 1e300], [1, 1])
+        G = GibbsMatrix(TransitionMatrix(np.eye(2)), system, 1.0)
+        assert slope_direct(G) == 0.0
+        assert slope_symmetrized(G) == 0.0
+        assert slope_fluctuation(G) == 0.0
+        assert cumulant_deviation(G, 0.1) == 0.0
+        assert cumulant_deviation(G, -0.1) == 0.0
+
+
 class TestFixedPointZeros:
     def test_heat_and_entropy_vanish_at_bath_temperature(self):
         for seed in (3, 14, 15):

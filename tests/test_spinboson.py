@@ -2,14 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from nlsthermo import spinboson
 from nlsthermo.core import InvalidInputError, certify_gibbs_matrix, make_gibbs_state, propagate
 from nlsthermo.spinboson import (
+    _CHUNK,
     MAX_BETA0,
+    MAX_CUTOFF,
+    MIN_BETA0,
     DegenerateBlockError,
     SpinBosonParams,
     _block_mixture,
@@ -35,42 +38,61 @@ T21_AT_BETA0_1 = 0.18138275975985336
 T33_AT_BETA0_1 = 0.794008571523244
 
 
+def _lerch_reference(z):
+    """Phi(z, 2, 3/2) at the same double z: mpmath's Lerch transcendent at 40
+    digits, or for z <= 0.2 an exactly rounded direct sum (mpmath.lerchphi
+    drifts past beta0 ~ 100, i.e. for z below about 4e-44)."""
+    if z <= 0.2:
+        terms, k = [], 0
+        while not terms or terms[-1] > 1e-40 * terms[0]:
+            terms.append(z ** k / (k + 1.5) ** 2)
+            k += 1
+        return math.fsum(terms)
+    with mpmath.workdps(40):
+        return float(mpmath.lerchphi(mpmath.mpf(z), 2, mpmath.mpf(3) / 2))
+
+
 class TestLerchPhi:
     def test_only_first_term_survives_at_z_zero(self):
-        assert lerch_phi(0.0, 2.0, 1.5) == pytest.approx(4.0 / 9.0, rel=1e-15)
+        assert lerch_phi(0.0) == pytest.approx(4.0 / 9.0, rel=1e-15)
 
     def test_pinned_high_precision_values(self):
-        assert lerch_phi(math.exp(-1.0), 2.0, 1.5) == \
-            pytest.approx(LERCH_AT_EXP_MINUS_1, rel=1e-14)
-        assert lerch_phi(0.5, 2.0, 1.5) == pytest.approx(LERCH_AT_HALF, rel=1e-14)
+        assert lerch_phi(math.exp(-1.0)) == pytest.approx(LERCH_AT_EXP_MINUS_1, rel=1e-14)
+        assert lerch_phi(0.5) == pytest.approx(LERCH_AT_HALF, rel=1e-14)
 
-    def test_matches_dilogarithm_series(self):
-        # Phi(z, 2, 1) = (1/z) sum_{k>=1} z^k / k^2, summed independently
-        for z in (0.3, -0.6, 0.9):
-            acc, term_index = [], 1
-            while True:
-                term = z ** term_index / term_index ** 2
-                acc.append(term)
-                if abs(term) < 1e-18:
-                    break
-                term_index += 1
-            oracle = math.fsum(acc) / z
-            assert lerch_phi(z, 2.0, 1.0) == pytest.approx(oracle, rel=1e-13)
+    @pytest.mark.parametrize("beta0", np.geomspace(1e-6, 1.6, 10).tolist()
+                             + [0.80, 0.85, 0.90, 0.95])
+    def test_matches_mpmath_reference(self, beta0):
+        # z > 0.2; the last four straddle the switch to the reflection at z = 0.4
+        z = math.exp(-beta0)
+        assert lerch_phi(z) == pytest.approx(_lerch_reference(z), rel=1e-14, abs=0)
 
-    @given(st.floats(-0.95, 0.95), st.floats(0.5, 3.0), st.floats(0.1, 5.0))
-    @settings(max_examples=150, deadline=None)
-    def test_recurrence(self, z, s, a):
-        lhs = lerch_phi(z, s, a)
-        rhs = a ** -s + z * lerch_phi(z, s, a + 1.0)
-        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+    @pytest.mark.parametrize("beta0", np.geomspace(-math.log(0.2), MAX_BETA0, 25).tolist())
+    def test_matches_direct_sum_for_small_z(self, beta0):
+        z = math.exp(-beta0)
+        assert lerch_phi(z) == pytest.approx(_lerch_reference(z), rel=1e-14, abs=0)
+
+    def test_sums_directly_where_the_reflection_cancels(self):
+        # just above r = sqrt(2) - 1 the reflection's terms cancel to a
+        # hundredth and it errs by up to 2e-14; the direct sum does not
+        for z in np.linspace((math.sqrt(2.0) - 1.0) ** 2, 0.2, 29).tolist():
+            assert lerch_phi(z) == pytest.approx(_lerch_reference(z), rel=1e-14, abs=0)
+
+    def test_branches_agree_at_the_switch(self):
+        # z = 0.4 is summed directly, the next double above through the reflection
+        below, above = lerch_phi(0.4), lerch_phi(math.nextafter(0.4, 1.0))
+        assert above == pytest.approx(below, rel=1e-14)
+        assert below == pytest.approx(_lerch_reference(0.4), rel=1e-14, abs=0)
+
+    def test_approaches_the_anchor_at_one(self):
+        # Phi(1, 2, 3/2) = pi^2/2 - 4; one ulp below 1 it is within ~ulp log(ulp)
+        assert lerch_phi(math.nextafter(1.0, 0.0)) == pytest.approx(
+            math.pi ** 2 / 2.0 - 4.0, rel=0, abs=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(InvalidInputError):
-            lerch_phi(1.0, 2.0, 1.5)
-        with pytest.raises(InvalidInputError):
-            lerch_phi(-1.2, 2.0, 1.5)
-        with pytest.raises(InvalidInputError):
-            lerch_phi(0.5, 2.0, 0.0)
+        for z in (-1e-300, -0.5, 1.0, 1.5, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="0 <= z < 1"):
+                lerch_phi(z)
 
 
 class TestLevelSystem:
@@ -143,6 +165,15 @@ class TestAnalyticMatrix:
         with pytest.raises(InvalidInputError, match="MAX_BETA0"):
             analytic_entries(above)
 
+    def test_lower_bound_is_the_smallest_beta0_that_evaluates(self):
+        # from 2^-52 down e^{beta0/2} rounds to 1 and atanh(e^{-beta0/2}) diverges
+        for beta0 in (MIN_BETA0, 2.3e-16):
+            cert = certify_gibbs_matrix(analytic_entries(beta0), spin1_level_system(), beta0)
+            assert cert.passed
+        for beta0 in (math.nextafter(MIN_BETA0, 0.0), 2.2e-16, 1e-16, 5e-324):
+            with pytest.raises(InvalidInputError, match=r"\[MIN_BETA0 = 2\.2204460492503136e-16,"):
+                analytic_entries(beta0)
+
     def test_entries_stay_finite_up_to_the_bound(self):
         for beta0 in np.linspace(150.0, MAX_BETA0, 341).tolist():
             assert np.isfinite(analytic_entries(beta0)).all(), beta0
@@ -168,6 +199,16 @@ class TestParams:
     def test_nonpositive_beta0_is_rejected(self):
         with pytest.raises(InvalidInputError):
             SpinBosonParams(beta0=-1.0)
+
+    def test_cutoff_bound_admits_beta0_down_to_one_millionth(self):
+        assert fock_cutoff(1e-6) == MAX_CUTOFF
+        assert SpinBosonParams(beta0=1e-6).n_max == MAX_CUTOFF
+        for beta0 in (0.99e-6, 1e-9, 1e-17, 5e-324):
+            with pytest.raises(InvalidInputError, match=r"MAX_CUTOFF = 41446533; "
+                                                        r"the oracle admits beta0 >= 1e-06"):
+                SpinBosonParams(beta0=beta0)
+        with pytest.raises(InvalidInputError, match="MAX_CUTOFF"):
+            SpinBosonParams(beta0=1.0, n_max=MAX_CUTOFF + 1)
 
 
 class TestTripletBlocks:
@@ -226,6 +267,36 @@ class TestNumericalOracle:
         numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0, n_max=40))
         cert = certify_gibbs_matrix(numeric, spin1_level_system(), 1.0)
         assert cert.passed
+
+    @pytest.mark.parametrize("n_max", [_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_seams(self, n_max):
+        # triplets n = 1 .. n_max + 1 fill one stack, exactly one, or spill over
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=0.1, n_max=n_max))
+        np.testing.assert_allclose(numeric.entries.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        analytic = analytic_transition_matrix(0.1)
+        assert np.abs(numeric.entries - analytic.entries).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 7, 301])
+    def test_stack_size_does_not_change_the_result(self, monkeypatch, chunk):
+        # n_max = 300 at beta0 = 0.1, so chunk 301 ends one triplet short
+        params = SpinBosonParams(beta0=0.1)
+        reference = numerical_transition_matrix(params).entries
+        monkeypatch.setattr(spinboson, "_CHUNK", chunk)
+        chunked = numerical_transition_matrix(params).entries
+        assert np.abs(chunked - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("beta0", np.geomspace(1e-3, 5.0, 8).tolist())
+    def test_matches_closed_form_on_a_log_grid(self, beta0):
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=beta0))
+        analytic = analytic_transition_matrix(beta0)
+        assert np.abs(numeric.entries - analytic.entries).max() <= 1e-12
+
+    def test_stacked_kernels_match_one_block_at_a_time(self):
+        blocks = triplet_block(np.arange(1, 6), 0.9)
+        stacked = _block_mixture(blocks)
+        for block, kernel in zip(blocks, stacked):
+            np.testing.assert_allclose(kernel, _block_mixture(block), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(kernel.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 class TestEntropyTransferExtremum:

@@ -182,9 +182,9 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
 
     Equals one in real arithmetic for any certified Gibbs matrix.  Each term
     is assembled in log space (log T + log p_n - (beta - beta0)(E_m - E_n))
-    and exponentiated individually: wide sweeps make single exponents large,
-    but those terms carry exponentially small probability weight, so every
-    term and the total stay representable.
+    and exponentiated individually.  The large exponents of wide sweeps
+    should cancel, but near |beta| = 1e300 their rounding alone can exceed
+    the double range, and the value is then inf (:func:`grid_pass` is not).
     """
     log_p, _ = gibbs_log_weights(G.system, beta)
     dbeta = float(beta) - G.beta0
@@ -298,26 +298,28 @@ class GridPass:
 
 
 def _row_kl(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """sum_n w_n log(w_n / ref_n) of each row for a strictly positive ``ref``,
-    with 0 log 0 = 0: S(w || ref), or the entropy -S(w) when ``ref`` holds
-    the degeneracies."""
-    return np.sum(w * np.log(np.where(w > 0.0, w, ref) / ref), axis=1)
+    """sum_n w_n (log w_n - log ref_n) of each row for a strictly positive
+    ``ref``, with 0 log 0 = 0 and no overflow for a subnormal ``ref``:
+    S(w || ref), or the entropy -S(w) when ``ref`` holds the degeneracies."""
+    return np.sum(w * (np.log(np.where(w > 0.0, w, 1.0)) - np.log(ref)), axis=1)
 
 
 def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     """Evaluate a beta grid as arrays, ``BLOCK_ROWS`` beta rows at a time.
 
     Each block holds log p, p and q = clip(T p) as rows; <dQ>, <dS> and,
-    with ``identities``, both KL sides are row reductions of them.  The
-    heat J sum is factored as sum_m e^{-(beta-beta0) E_m} sum_n T[m,n] p_n
-    e^{(beta-beta0) E_n}, with the inner and the outer sum each shifted by
-    its row maximum in log space, so no term overflows on wide grids and
-    no array is larger than a block times N.  The general J value with
+    with ``identities``, both KL sides are row reductions of them.  Since
+    p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J double sum
+    sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly p @ rho with
+    rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every beta the line
+    certifies what the fixed-point rule implies.  The general J value with
     ptilde = q is sum_{m,n} T[m,n] p0_n q_m / q0_m = sum_m q_m (T p0)_m / q0_m,
     i.e. the sum of q over the rows where q0 > 0: it equals one up to the
-    rounding of that sum (:func:`general_j_expectation` keeps the double
-    sum).  Summation order differs from the per-point functions, which stay
-    the reference, so values agree with theirs to rounding, not bit for bit.
+    rounding of that sum.  :func:`j_heat_expectation` and
+    :func:`general_j_expectation` keep the double sums and stay the
+    reference; summation order differs, so values agree to rounding, not bit
+    for bit.  With ``identities``, a Gibbs weight of p0 that underflows to 0
+    raises :class:`EvaluationError`, as both the ratio and S(p || p0) need it.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1:
@@ -331,7 +333,9 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     if identities:
         p0 = G.fixed_point.weights
         if np.any(p0 <= 0.0):
-            raise InvalidInputError("p0 must be strictly positive")
+            n = int(np.argmax(p0 <= 0.0))
+            raise EvaluationError(
+                f"the Gibbs weight of level n={n} underflows to 0 at beta0={G.beta0!r}")
         q0 = np.clip(_image_of_positive(G.matrix, p0), 0.0, 1.0)
         # q0_m = 0 only on a zero row of T, where q_m = 0 too
         on_support = (q0 > 0.0).astype(float)
@@ -351,15 +355,9 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         ds[rows] = _row_kl(p, degeneracies) - _row_kl(q, degeneracies)
         if not identities:
             continue
-        dbeta = beta - G.beta0
-        # an overflowing shift gives inf or NaN, which fails the heat line
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = log_p + dbeta * energies
-            a_max = a.max(axis=1, keepdims=True)
-            # log of the inner sum is -inf on a row of T the weights miss
-            b = np.log(np.exp(a - a_max) @ t_entries.T) + a_max - dbeta * energies
-            b_max = b.max(axis=1, keepdims=True)
-            j_heat[rows] = np.exp(b_max[:, 0]) * np.exp(b - b_max).sum(axis=1)
+        # a subnormal p0 can overflow rho, whose inf (NaN where p = 0) fails the line
+        with np.errstate(over="ignore", invalid="ignore"):
+            j_heat[rows] = p @ (q0 / p0)
         block_positive = p.min(axis=1) > 0.0
         positive[rows] = block_positive
         j_general[rows] = np.where(block_positive, q @ on_support, np.nan)

@@ -34,7 +34,8 @@ __all__ = [
 #: stationary entries must be pairwise separated and bounded away from zero
 DISTINCTNESS = 1e-6
 
-#: rejection-sampling budget per instance (empirically never exhausted)
+#: rejection-sampling budget per instance; exhausted for 10 of seeds 0-39 at
+#: n = 96 and for all 40 at n = 128
 MAX_ATTEMPTS = 100
 
 

@@ -396,16 +396,51 @@ class TestOverflowingGrids:
         assert "--beta-min, --beta-max" in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
-    def test_heat_j_overflow_fails_its_line_without_warnings(self):
-        # a grid found by scanning on which rounding still overflows the
-        # shifted heat J sums at some points
+    def test_heat_j_holds_where_the_log_space_sum_overflowed(self):
+        # a grid found by scanning, on which rounding once overflowed the
+        # factored log-space heat J sums at some points
         result = run_process("verify", "--random", "3", "--seed", "4",
                              "--beta-min=-1e20", "--beta-max=1e20", "--steps", "101")
-        assert result.returncode == 1
+        assert result.returncode == 0
         assert "RuntimeWarning" not in result.stderr
-        report = json.loads(result.stdout)
-        failing = [c["label"] for c in report["checks"] if not c["holds"]]
-        assert any(label.startswith("j-equation (heat)") for label in failing)
+        assert json.loads(result.stdout)["overall_pass"] is True
+
+
+def write_instance(tmp_path, energies, transition):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"energies": energies, "degeneracies": [1, 1],
+                                "transition": transition, "beta0": 1.0}))
+    return str(path)
+
+
+class TestSubnormalFixedPoint:
+    def test_underflowing_gibbs_weight_fails_verify_naming_the_level(self, tmp_path, capsys):
+        path = write_instance(tmp_path, [0.0, 1e300], [[1.0, 0.0], [0.0, 1.0]])
+        assert run_cli("verify", "--input", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Gibbs weight of level n=1 underflows to 0 at beta0=1.0" in captured.err
+        assert "Traceback" not in captured.err
+        assert run_cli("sweep", "--input", path) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gap", [735.0, 740.0])
+    def test_subnormal_weight_fails_the_heat_line_with_a_full_report(self, tmp_path, capsys,
+                                                                    gap):
+        # certified (fixed-point residual 1e-11), but p0_1 = e^-gap / Z is
+        # subnormal: T p0 / p0 and p / p0 are huge or overflow
+        path = write_instance(tmp_path, [0.0, gap], [[1.0 - 1e-11, 0.0], [1e-11, 1.0]])
+        assert run_cli("verify", "--input", path) == 1
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        checks = json.loads(captured.out)["checks"]
+        assert all(c["holds"] for c in checks[:3])
+        run_cli("verify", "--random", "3")
+        full = json.loads(capsys.readouterr().out)["checks"]
+        assert ([c["label"].split(" [beta=")[0] for c in checks]
+                == [c["label"].split(" [beta=")[0] for c in full])
+        heat = next(c for c in checks if c["label"].startswith("j-equation (heat)"))
+        assert not heat["holds"]
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ import pytest
 from nlsthermo.core import (
     FIXED_POINT_TOL,
     SUM_TOL,
+    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -464,15 +465,41 @@ class TestGridSuites:
         values = [j_heat_expectation(G, b) for b in np.linspace(-1e300, 1e300, 101)]
         assert np.isinf(values).any()
 
-    def test_batched_heat_j_overflow_fails_its_line_without_warnings(self):
-        # a grid found by scanning: at |beta| ~ 1e20 the shifted log-space
-        # sums of the pass still round to errors that overflow exp at some
-        # points of this N = 3 instance
+    def test_batched_heat_j_holds_where_the_log_space_sum_overflowed(self):
+        # a grid found by scanning: at |beta| ~ 1e20 the factored log-space
+        # sums this pass once used rounded to errors that overflowed exp at
+        # some points of this N = 3 instance; p @ rho has no such term
         G = random_gibbs_instance(3, 4)
         grid = grid_pass(G, np.linspace(-1e20, 1e20, 101), identities=True)
-        assert np.isinf(grid.j_heat).any()
+        heat, _ = jequation_suite(grid)
+        assert heat.holds and heat.lhs <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("span", [1e20, 1e100, 1e300])
+    def test_heat_j_stays_at_rounding_on_wide_grids(self, n, span):
+        for seed in range(10):
+            G = random_gibbs_instance(n, seed)
+            grid = grid_pass(G, np.linspace(-span, span, 101), identities=True)
+            assert np.max(np.abs(grid.j_heat - 1.0)) <= 1e-14
+
+    def test_overflowing_ratio_fails_the_heat_line_without_warnings(self):
+        # certified (fixed-point residual 1e-11), but p0_1 = e^-740 / Z is
+        # subnormal, so T p0 / p0 overflows; the suite turns any warning into
+        # a failure here
+        G = GibbsMatrix(TransitionMatrix([[1.0 - 1e-11, 0.0], [1e-11, 1.0]]),
+                        LevelSystem([0.0, 740.0], [1, 1]), 1.0)
+        grid = grid_pass(G, np.linspace(-5.0, 5.0, 11), identities=True)
+        assert not np.isfinite(grid.j_heat).any()
+        assert np.isfinite(grid.kl_before[grid.positive]).all()
         heat, _ = jequation_suite(grid)
         assert not heat.holds
+
+    def test_underflowing_gibbs_weight_is_an_evaluation_error(self):
+        G = GibbsMatrix(TransitionMatrix(np.eye(2)), LevelSystem([0.0, 1e300], [1, 1]), 1.0)
+        assert G.fixed_point.weights[1] == 0.0
+        with pytest.raises(EvaluationError, match=r"level n=1 underflows to 0 at beta0=1\.0"):
+            grid_pass(G, [0.0, 1.0], identities=True)
+        assert np.array_equal(grid_pass(G, [0.0, 1.0]).dq, [0.0, 0.0])
 
 
 class TestCertificationSuite:

@@ -33,7 +33,6 @@ __all__ = [
     "CertificationError",
     "LevelSystem",
     "ProbabilityVector",
-    "GibbsState",
     "TransitionMatrix",
     "GibbsMatrix",
     "TwoPointDistribution",
@@ -74,7 +73,7 @@ class InvalidInputError(ValueError):
 class EvaluationError(ArithmeticError):
     """Raised when a computation hits a value it cannot represent, for
     example a random variable that is not finite on a positive-probability
-    outcome."""
+    outcome; the base of every error other than a bad input."""
 
 
 class CertificationError(InvalidInputError):
@@ -157,23 +156,6 @@ class ProbabilityVector:
 
 
 @dataclass(frozen=True, eq=False)
-class GibbsState:
-    """Boltzmann-form distribution p_n = d_n exp(-beta E_n) / Z.
-
-    ``log_probabilities`` and ``log_partition_function`` are kept alongside
-    the plain values because wide inverse-temperature sweeps need them; they
-    come from a shifted (log-sum-exp) evaluation and stay accurate where naive
-    exponentials would overflow.
-    """
-
-    beta: float
-    probabilities: ProbabilityVector
-    partition_function: float
-    log_partition_function: float
-    log_probabilities: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Left stochastic matrix: nonnegative entries, columns summing to one
     within ``SUM_TOL``; a broken rule raises :class:`CertificationError`."""
@@ -210,12 +192,12 @@ class GibbsMatrix:
         object.__setattr__(self, "beta0", float(self.beta0))
         if self.matrix.size != self.system.size:
             raise InvalidInputError("matrix and level system sizes differ")
-        state = make_gibbs_state(self.system, self.beta0)
-        _, failure = _fixed_point_rule(self.matrix.entries, state.probabilities.weights)
+        p0 = make_gibbs_state(self.system, self.beta0)
+        _, failure = _fixed_point_rule(self.matrix.entries, p0.weights)
         if failure is not None:
             raise CertificationError(
                 f"matrix does not fix the Gibbs state at beta0={self.beta0!r}: {failure}")
-        object.__setattr__(self, "fixed_point", state.probabilities)
+        object.__setattr__(self, "fixed_point", p0)
 
     @property
     def size(self) -> int:
@@ -277,36 +259,32 @@ class GibbsCertificate:
 # construction and propagation
 # ---------------------------------------------------------------------------
 
-def gibbs_log_weights(system: LevelSystem, beta: float):
-    """Log-probabilities and log partition function at inverse temperature beta.
+def gibbs_log_weights(system: LevelSystem, beta):
+    """Log-probabilities log p_n and log partition function log Z at inverse
+    temperature ``beta``, a float or a 1-D array of betas.
 
-    Shifted by the maximum exponent before exponentiating, so large
-    ``|beta * E_n|`` neither overflows nor loses the normalization.
+    An array gives one row of log-probabilities per beta and an array of
+    log Z; a float gives one row and a float.  Each row is shifted by its
+    maximum exponent before exponentiating, so large ``|beta * E_n|``
+    neither overflows nor loses the normalization, and a row is bit for bit
+    the same whether its beta comes alone or in an array.
     """
-    beta = float(beta)
-    if not math.isfinite(beta):
+    beta = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(beta)):
         raise InvalidInputError("beta must be finite")
-    scores = np.log(system.degeneracy_weights()) - beta * system.energies
-    shift = float(scores.max())
-    log_z = shift + math.log(float(np.exp(scores - shift).sum()))
-    return scores - log_z, log_z
+    scores = np.log(system.degeneracy_weights()) - beta[..., None] * system.energies
+    shift = scores.max(axis=-1, keepdims=True)
+    log_z = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
+    return scores - log_z, float(log_z[0]) if beta.ndim == 0 else log_z[..., 0]
 
 
-def make_gibbs_state(system: LevelSystem, beta: float) -> GibbsState:
-    """Gibbs state p_n = d_n exp(-beta E_n) / Z.  Any finite beta is
-    admissible, including negative inverse temperatures."""
-    log_p, log_z = gibbs_log_weights(system, beta)
+def make_gibbs_state(system: LevelSystem, beta: float) -> ProbabilityVector:
+    """Gibbs state p_n = d_n exp(-beta E_n) / Z at a float ``beta``.  Any
+    finite beta is admissible, including negative inverse temperatures;
+    log Z is in :func:`gibbs_log_weights`."""
+    log_p, _ = gibbs_log_weights(system, beta)
     w = np.exp(log_p)
-    w = w / w.sum()
-    with np.errstate(over="ignore"):  # Z past DBL_MAX is reported as inf
-        partition_function = float(np.exp(log_z))
-    return GibbsState(
-        beta=float(beta),
-        probabilities=ProbabilityVector(w),
-        partition_function=partition_function,
-        log_partition_function=float(log_z),
-        log_probabilities=_freeze(log_p),
-    )
+    return ProbabilityVector(w / w.sum())
 
 
 def propagate(T: TransitionMatrix, p: ProbabilityVector) -> ProbabilityVector:
@@ -481,7 +459,7 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float) -> GibbsCert
     raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
     if raw.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
-    p0 = make_gibbs_state(system, beta0).probabilities.weights
+    p0 = make_gibbs_state(system, beta0).weights
     (dev, columns), (low, sign), (residual, fixed) = (
         _column_sum_rule(raw), _sign_rule(raw), _fixed_point_rule(raw, p0))
     return GibbsCertificate(dev, residual, low, columns is None, fixed is None, sign is None)
@@ -501,9 +479,9 @@ def instance_to_dict(system: LevelSystem, matrix, beta0: float) -> dict:
     raw = matrix.entries if isinstance(matrix, TransitionMatrix) else \
         np.asarray(matrix, dtype=float)
     return {
-        "energies": [float(x) for x in system.energies],
-        "degeneracies": [int(x) for x in system.degeneracies],
-        "transition": [[float(x) for x in row] for row in raw],
+        "energies": system.energies.tolist(),
+        "degeneracies": system.degeneracies.tolist(),
+        "transition": raw.tolist(),
         "beta0": float(beta0),
     }
 

@@ -117,7 +117,7 @@ class ClausiusBounds:
 def _marginal_changes(T: TransitionMatrix, system: LevelSystem,
                       beta: float) -> tuple[float, float]:
     """(E(q) - E(p), S(q) - S(p)) for the Gibbs state p at ``beta`` and q = T p."""
-    p = make_gibbs_state(system, beta).probabilities
+    p = make_gibbs_state(system, beta)
     q = propagate(T, p)
     de = mean_energy(system, q) - mean_energy(system, p)
     ds = entropy(system, q) - entropy(system, p)
@@ -307,8 +307,10 @@ def _row_kl(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     """Evaluate a beta grid as arrays, ``BLOCK_ROWS`` beta rows at a time.
 
-    Each block holds log p, p and q = clip(T p) as rows; <dQ>, <dS> and,
-    with ``identities``, both KL sides are row reductions of them.  Since
+    Each block holds log p (one :func:`gibbs_log_weights` call, whose rows
+    are bit for bit its per-beta values; a non-finite beta raises there), p
+    and q = clip(T p) as rows; <dQ>, <dS> and, with ``identities``, both KL
+    sides are row reductions of them.  Since
     p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J double sum
     sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly p @ rho with
     rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every beta the line
@@ -324,11 +326,8 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1:
         raise InvalidInputError("betas must be a 1-D grid")
-    if not np.all(np.isfinite(betas)):
-        raise InvalidInputError("beta must be finite")
     system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
     energies, degeneracies = system.energies, system.degeneracy_weights()
-    log_d = np.log(degeneracies)
     dq, ds = np.empty(size), np.empty(size)
     if identities:
         p0 = G.fixed_point.weights
@@ -344,10 +343,7 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(4))
     for lo in range(0, size, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        beta = betas[rows, None]
-        scores = log_d - beta * energies
-        shift = scores.max(axis=1, keepdims=True)
-        log_p = scores - (shift + np.log(np.exp(scores - shift).sum(axis=1, keepdims=True)))
+        log_p, _ = gibbs_log_weights(system, betas[rows])
         p = np.exp(log_p)
         p /= p.sum(axis=1, keepdims=True)
         q = np.clip(p @ t_entries.T, 0.0, 1.0)

@@ -39,12 +39,12 @@ DISTINCTNESS = 1e-6
 MAX_ATTEMPTS = 100
 
 
-class MultiplicityError(RuntimeError):
+class MultiplicityError(EvaluationError):
     """Raised when a transition matrix has more than one stationary
     distribution (rank deficiency beyond the single expected null direction)."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(EvaluationError):
     """Raised when rejection sampling exhausts its attempt budget."""
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -80,7 +81,7 @@ MIN_BETA0 = math.nextafter(sys.float_info.epsilon, math.inf)
 MAX_BETA0 = math.nextafter((math.log(sys.float_info.max) - math.log(32.0)) / 3.0, 0.0)
 
 
-class DegenerateBlockError(ArithmeticError):
+class DegenerateBlockError(EvaluationError):
     """Raised when eigenvalues inside one invariant block collide, which
     would make the time average ill-defined.  Cannot happen for a nonzero
     coupling."""

@@ -133,7 +133,7 @@ def test_criterion_06_spin_boson_example():
     start = time.perf_counter()
     analytic = nt.analytic_transition_matrix(1.0)
     column_dev = float(np.abs(analytic.entries.sum(axis=0) - 1.0).max())
-    p0 = nt.make_gibbs_state(nt.spin1_level_system(), 1.0).probabilities.weights
+    p0 = nt.make_gibbs_state(nt.spin1_level_system(), 1.0).weights
     residual = float(np.abs(analytic.entries @ p0 - p0).max())
     assert column_dev <= 1e-12
     assert residual < 1e-12

@@ -1,6 +1,7 @@
 """Command-line surface: sweeps, verification, generation, the example,
 file handling, and the exit-status contract."""
 
+import importlib
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from nlsthermo.cli import main
+from nlsthermo.core import EvaluationError, InvalidInputError
 
 CSV_FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -441,6 +443,38 @@ class TestSubnormalFixedPoint:
                 == [c["label"].split(" [beta=")[0] for c in full])
         heat = next(c for c in checks if c["label"].startswith("j-equation (heat)"))
         assert not heat["holds"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gap", [735.0, 740.0])
+    def test_subnormal_weight_breaks_the_sweep_clausius_ordering(self, tmp_path, capsys, gap):
+        # the same certified instances: sweep re-checks the ordering and
+        # exits 1 at beta = 0, where the relative fixed-point defect shows
+        path = write_instance(tmp_path, [0.0, gap], [[1.0 - 1e-11, 0.0], [1e-11, 1.0]])
+        assert run_cli("sweep", "--input", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: clausius ordering violated at beta=0.0" in captured.err
+        assert "Warning" not in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("module", ["core", "fluctuation", "genrand", "response",
+                                        "spinboson", "cli"])
+    def test_every_exported_error_derives_from_one_of_two_bases(self, module):
+        # main catches exactly these two bases (and OSError) for exits 1 and 2
+        mod = importlib.import_module(f"nlsthermo.{module}")
+        errors = [getattr(mod, name) for name in mod.__all__]
+        errors = [e for e in errors if isinstance(e, type) and issubclass(e, BaseException)]
+        for error in errors:
+            assert issubclass(error, (InvalidInputError, EvaluationError)), error
+
+    def test_exhausted_generation_exits_one_without_traceback(self):
+        result = run_process("gen", "128", "--seed", "0")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "no acceptable instance" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestDeterminism:

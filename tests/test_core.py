@@ -24,6 +24,7 @@ from nlsthermo.core import (
     delta_s_table,
     entropy,
     expectation,
+    gibbs_log_weights,
     instance_from_dict,
     instance_to_dict,
     kl_divergence,
@@ -126,7 +127,7 @@ class TestGibbsState:
     def test_symmetric_degenerate_levels_give_half_half(self, beta):
         system = LevelSystem([0.0, 0.0], [1, 1])
         state = make_gibbs_state(system, beta)
-        np.testing.assert_allclose(state.probabilities.weights, [0.5, 0.5],
+        np.testing.assert_allclose(state.weights, [0.5, 0.5],
                                    rtol=0, atol=1e-15)
 
     def test_three_level_closed_form(self):
@@ -136,15 +137,15 @@ class TestGibbsState:
         state = make_gibbs_state(system, beta)
         expected = np.array([math.exp(-beta), 1.0, math.exp(beta)])
         expected /= expected.sum()
-        np.testing.assert_allclose(state.probabilities.weights, expected,
+        np.testing.assert_allclose(state.weights, expected,
                                    rtol=1e-14, atol=0)
 
     def test_beta_zero_weights_by_degeneracy(self):
         system = LevelSystem([0.0, 1.0, 2.0], [1, 2, 1])
         state = make_gibbs_state(system, 0.0)
-        np.testing.assert_allclose(state.probabilities.weights,
+        np.testing.assert_allclose(state.weights,
                                    [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
-        assert state.partition_function == pytest.approx(4.0, rel=1e-14)
+        assert math.exp(gibbs_log_weights(system, 0.0)[1]) == pytest.approx(4.0, rel=1e-14)
 
     def test_nonfinite_beta_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -153,18 +154,39 @@ class TestGibbsState:
     @pytest.mark.parametrize("beta", [300.0, -300.0])
     def test_extreme_beta_is_stable(self, beta):
         state = make_gibbs_state(uniform_system(3), beta)
-        w = state.probabilities.weights
+        w = state.weights
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_partition_function_past_double_range_is_inf_without_warning(self):
-        # log Z = 1000 > log(DBL_MAX): Z itself is reported as inf
+    def test_log_partition_function_past_double_range_without_warning(self):
+        # log Z = 1000 > log(DBL_MAX): Z itself is not a double, log Z is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = make_gibbs_state(uniform_system(3), -500.0)
-        assert state.partition_function == math.inf
-        assert state.log_partition_function == pytest.approx(1000.0, rel=1e-15)
-        assert state.probabilities.weights[2] == 1.0
+            _, log_z = gibbs_log_weights(uniform_system(3), -500.0)
+        assert log_z == pytest.approx(1000.0, rel=1e-15)
+        assert state.weights[2] == 1.0
+
+    @pytest.mark.parametrize("system", [LevelSystem([0.0, 1.0, 2.0], [1, 2, 1]),
+                                        LevelSystem([0.0, 0.0, 3.5, -1.0], [3, 1, 1, 2]),
+                                        uniform_system(12),
+                                        LevelSystem(np.random.default_rng(5).uniform(-3, 3, 96),
+                                                    np.random.default_rng(6).integers(1, 5, 96))])
+    def test_array_of_betas_matches_stacked_scalar_calls_bit_for_bit(self, system):
+        # 1001 betas, enough for a one-ulp split between two logarithms to show
+        betas = np.concatenate([[-1e300, -800.0, 0.0, 1e-9, 800.0, 1e300],
+                                np.linspace(-50.0, 50.0, 1001)])
+        log_p, log_z = gibbs_log_weights(system, betas)
+        rows = [gibbs_log_weights(system, float(beta)) for beta in betas]
+        assert log_p.shape == (betas.size, system.size)
+        assert all(isinstance(z, float) for _, z in rows)
+        np.testing.assert_array_equal(log_p, np.stack([lp for lp, _ in rows]))
+        np.testing.assert_array_equal(log_z, [z for _, z in rows])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_with_a_nonfinite_beta_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="beta must be finite"):
+            gibbs_log_weights(uniform_system(3), np.array([0.0, bad, 1.0]))
 
     def test_identity_entropy_energy_logz_random_draws(self):
         # S(p) = beta E(p) + log Z over 1000 seeded draws
@@ -173,11 +195,10 @@ class TestGibbsState:
             n = int(rng.integers(2, 13))
             system = LevelSystem(rng.uniform(-3, 3, n), rng.integers(1, 4, n))
             beta = float(rng.uniform(-10, 10))
-            state = make_gibbs_state(system, beta)
-            p = state.probabilities
+            p = make_gibbs_state(system, beta)
             assert abs(p.weights.sum() - 1.0) <= 1e-12
             lhs = entropy(system, p)
-            rhs = beta * mean_energy(system, p) + state.log_partition_function
+            rhs = beta * mean_energy(system, p) + gibbs_log_weights(system, beta)[1]
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -231,14 +252,14 @@ class TestPropagate:
 class TestExpectation:
     def test_constant_rv_normalizes(self):
         T = random_stochastic(4, 3)
-        p = make_gibbs_state(uniform_system(4), 0.7).probabilities
+        p = make_gibbs_state(uniform_system(4), 0.7)
         dist = two_point_distribution(T, p)
         assert expectation(dist, np.ones((4, 4))) == pytest.approx(1.0, abs=1e-12)
 
     def test_heat_vanishes_for_identity(self):
         system = uniform_system(3)
         dist = two_point_distribution(TransitionMatrix(np.eye(3)),
-                                      make_gibbs_state(system, 0.4).probabilities)
+                                      make_gibbs_state(system, 0.4))
         assert expectation(dist, delta_q_table(system)) == 0.0
 
     def test_heat_vanishes_at_bath_temperature(self):
@@ -249,13 +270,13 @@ class TestExpectation:
     def test_table_nonfinite_values_off_support_are_skipped(self):
         system = uniform_system(2)
         dist = two_point_distribution(TransitionMatrix(np.eye(2)),
-                                      make_gibbs_state(system, 0.0).probabilities)
+                                      make_gibbs_state(system, 0.0))
         values = np.array([[1.0, np.inf], [np.inf, 1.0]])
         assert expectation(dist, values) == 1.0
 
     def test_nonfinite_rv_on_support_is_reported(self):
         T = random_stochastic(3, 1)
-        p = make_gibbs_state(uniform_system(3), 0.0).probabilities
+        p = make_gibbs_state(uniform_system(3), 0.0)
         dist = two_point_distribution(T, p)
         values = np.zeros((3, 3))
         values[1, 2] = math.inf
@@ -315,7 +336,7 @@ class TestEntropy:
         system = LevelSystem([0.0, 1.0, 2.0], [1, 2, 1])
         state = make_gibbs_state(system, 0.0)
         # at beta = 0 the entropy equals log Z = log 4
-        assert entropy(system, state.probabilities) == \
+        assert entropy(system, state) == \
             pytest.approx(math.log(4), rel=1e-14)
 
 
@@ -370,7 +391,7 @@ class TestKlDivergence:
 class TestDeltaRandomVariables:
     def test_entropy_increase_vanishes_for_identity(self):
         system = uniform_system(3)
-        p = make_gibbs_state(system, 0.8).probabilities
+        p = make_gibbs_state(system, 0.8)
         dist = two_point_distribution(TransitionMatrix(np.eye(3)), p)
         ds = delta_s_table(system, p, dist.final)
         assert abs(expectation(dist, ds)) <= 1e-14
@@ -386,7 +407,7 @@ class TestDeltaRandomVariables:
         for seed in (1, 2, 3):
             inst = random_gibbs_instance(6, seed)
             system = inst.system
-            p = make_gibbs_state(system, 2.5).probabilities
+            p = make_gibbs_state(system, 2.5)
             dist = two_point_distribution(inst.matrix, p)
             via_joint = expectation(dist, delta_s_table(system, p, dist.final))
             via_margins = entropy(system, dist.final) - entropy(system, p)
@@ -394,7 +415,7 @@ class TestDeltaRandomVariables:
 
     def test_mean_heat_matches_marginal_form(self):
         inst = random_gibbs_instance(5, 4)
-        p = make_gibbs_state(inst.system, -1.5).probabilities
+        p = make_gibbs_state(inst.system, -1.5)
         dist = two_point_distribution(inst.matrix, p)
         via_joint = expectation(dist, delta_q_table(inst.system))
         via_margins = mean_energy(inst.system, dist.final) - mean_energy(inst.system, p)
@@ -450,7 +471,7 @@ class TestCertification:
 def detailed_balance_matrix(system, beta0, rng):
     """A Gibbs matrix with exact zeros: T[m, n] = c K[m, n] p0[m] off the
     diagonal for a symmetric 0/1-masked K, diagonal filling each column."""
-    p0 = make_gibbs_state(system, beta0).probabilities.weights
+    p0 = make_gibbs_state(system, beta0).weights
     n = system.size
     k = np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6), 1)
     t = 0.9 * (k + k.T) * p0[:, None]
@@ -474,7 +495,7 @@ class TestCertifiedIffConstructs:
         if seeded_instance and rule != "sign":  # its entries are all positive
             inst = random_gibbs_instance(n, seed)
             system, beta0, raw = inst.system, inst.beta0, inst.matrix.entries.copy()
-            p0 = make_gibbs_state(system, beta0).probabilities.weights
+            p0 = make_gibbs_state(system, beta0).weights
         else:
             system = LevelSystem(rng.uniform(-2.0, 2.0, size=n), rng.integers(1, 3, size=n))
             beta0 = float(rng.uniform(0.2, 2.0))

@@ -64,7 +64,7 @@ def j_heat_oracle(G, beta):
     """Direct summation of T[m,n] p_n exp(-(beta-beta0)(E_m - E_n))."""
     t = G.matrix.entries
     e = G.system.energies
-    p = make_gibbs_state(G.system, beta).probabilities.weights
+    p = make_gibbs_state(G.system, beta).weights
     dbeta = beta - G.beta0
     return math.fsum(
         float(t[m, n]) * float(p[n]) * math.exp(-dbeta * float(e[m] - e[n]))
@@ -102,7 +102,7 @@ class TestGeneralJEquation:
 
     def test_propagated_ptilde_feeds_the_clausius_route(self):
         G = random_gibbs_instance(6, 13)
-        p = make_gibbs_state(G.system, 2.2).probabilities
+        p = make_gibbs_state(G.system, 2.2)
         q = propagate(G.matrix, p)
         value = general_j_expectation(G.matrix, p, G.fixed_point, q)
         assert abs(value - 1.0) <= 1e-12
@@ -140,7 +140,7 @@ class TestHeatJEquation:
         for seed in (5, 6):
             G = random_gibbs_instance(4, seed)
             for beta in (-4.0, 0.3, 2.5):
-                p = make_gibbs_state(G.system, beta).probabilities
+                p = make_gibbs_state(G.system, beta)
                 via_ratio = general_j_expectation(G.matrix, p, G.fixed_point, p)
                 via_heat = j_heat_expectation(G, beta)
                 assert via_ratio == pytest.approx(via_heat, abs=1e-12)
@@ -154,7 +154,7 @@ class TestHeatJEquation:
             beta = float(rng.uniform(-10.0, 10.0))
             via_heat = j_heat_expectation(G, beta)
             worst_identity = max(worst_identity, abs(via_heat - 1.0))
-            p = make_gibbs_state(G.system, beta).probabilities
+            p = make_gibbs_state(G.system, beta)
             via_ratio = general_j_expectation(G.matrix, p, G.fixed_point, p)
             worst_route_gap = max(worst_route_gap, abs(via_ratio - via_heat))
         assert worst_identity <= 1e-10
@@ -282,7 +282,7 @@ class TestBistochasticLimit:
         system = LevelSystem([0.0, 0.5, 1.0, 2.0], [1, 1, 1, 1])
         T = TransitionMatrix(np.full((4, 4), 0.25))
         beta = 1.2
-        p = make_gibbs_state(system, beta).probabilities
+        p = make_gibbs_state(system, beta)
         first, second = bistochastic_work_check(T, system, beta)
         expected = math.log(4) - entropy(system, p)
         assert first.rhs == pytest.approx(expected, rel=1e-12)
@@ -346,7 +346,7 @@ def per_point(G, betas):
     q0 = propagate(G.matrix, G.fixed_point).weights
     rows = []
     for beta in betas.tolist():
-        p = make_gibbs_state(G.system, beta).probabilities
+        p = make_gibbs_state(G.system, beta)
         q = propagate(G.matrix, p)
         dq, ds = heat_and_entropy_change(G, beta)
         positive = bool(p.weights.min() > 0.0)

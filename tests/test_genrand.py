@@ -103,7 +103,7 @@ class TestRandomGibbsInstance:
     def test_gibbs_state_reproduces_the_stationary_distribution(self):
         inst = random_gibbs_instance(5, 7)
         p0 = stationary_distribution(inst.matrix)
-        gibbs = make_gibbs_state(inst.system, 1.0).probabilities
+        gibbs = make_gibbs_state(inst.system, 1.0)
         np.testing.assert_allclose(gibbs.weights, p0.weights, rtol=0, atol=1e-12)
 
     def test_deterministic_in_n_and_seed(self):
@@ -122,7 +122,7 @@ class TestRandomGibbsInstance:
     def test_stationary_entries_are_separated(self):
         for seed in range(20):
             inst = random_gibbs_instance(6, seed)
-            w = make_gibbs_state(inst.system, 1.0).probabilities.weights
+            w = make_gibbs_state(inst.system, 1.0).weights
             assert w.min() >= 1e-6
             assert np.diff(np.sort(w)).min() >= 1e-6
 
@@ -142,10 +142,10 @@ class TestRandomGibbsInstance:
         from nlsthermo.cli import sweep_records
         inst = random_gibbs_instance(4, 2024)
         records = sweep_records(inst, np.linspace(-10, 10, 81))
-        at_beta0 = min(records, key=lambda r: abs(r.beta - 1.0))
-        assert abs(at_beta0.beta_dQ) <= 1e-10
-        assert abs(at_beta0.beta0_dQ) <= 1e-10
-        assert abs(at_beta0.dS) <= 1e-10
+        _, beta_dq, beta0_dq, ds = records[np.argmin(np.abs(records[:, 0] - 1.0))]
+        assert abs(beta_dq) <= 1e-10
+        assert abs(beta0_dq) <= 1e-10
+        assert abs(ds) <= 1e-10
 
     def test_rejects_tiny_sizes(self):
         with pytest.raises(InvalidInputError):

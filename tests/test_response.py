@@ -67,7 +67,7 @@ class TestSlopeRoutes:
     def test_two_level_hand_expansion(self):
         beta0 = 1.0
         system = LevelSystem([0.0, 1.0], [1, 1])
-        p0 = make_gibbs_state(system, beta0).probabilities.weights
+        p0 = make_gibbs_state(system, beta0).weights
         a = 0.3
         b = a * p0[0] / p0[1]
         T = TransitionMatrix(np.array([[1.0 - a, b], [a, 1.0 - b]]))

@@ -102,17 +102,17 @@ class TestLevelSystem:
         state = make_gibbs_state(system, beta0)
         expected = np.array([math.exp(-beta0), 1.0, math.exp(beta0)])
         expected /= expected.sum()
-        np.testing.assert_allclose(state.probabilities.weights, expected, rtol=1e-15)
+        np.testing.assert_allclose(state.weights, expected, rtol=1e-15)
 
     def test_infinite_temperature_is_uniform(self):
         state = make_gibbs_state(spin1_level_system(), 0.0)
-        np.testing.assert_allclose(state.probabilities.weights, 1 / 3, rtol=1e-15)
+        np.testing.assert_allclose(state.weights, 1 / 3, rtol=1e-15)
 
     def test_cold_limit_concentrates_on_the_bottom_level(self):
         state = make_gibbs_state(spin1_level_system(), 50.0)
-        assert state.probabilities.weights[2] >= 1.0 - 1e-15
+        assert state.weights[2] >= 1.0 - 1e-15
         hot = make_gibbs_state(spin1_level_system(), -50.0)
-        assert hot.probabilities.weights[0] >= 1.0 - 1e-15
+        assert hot.weights[0] >= 1.0 - 1e-15
 
 
 class TestAnalyticMatrix:
@@ -133,7 +133,7 @@ class TestAnalyticMatrix:
 
     def test_fixed_point_residual(self):
         matrix = analytic_transition_matrix(1.0)
-        p0 = make_gibbs_state(spin1_level_system(), 1.0).probabilities
+        p0 = make_gibbs_state(spin1_level_system(), 1.0)
         q = propagate(matrix, p0)
         assert np.abs(q.weights - p0.weights).max() < 1e-12
 

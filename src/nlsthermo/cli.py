@@ -24,10 +24,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import (CertificationError, EvaluationError, InvalidInputError, instance_to_dict,
-                   load_instance)
-from .fluctuation import (SLACK_TOL, certification_suite, grid_pass, inequality_suite,
-                          jequation_suite)
+from .core import (CertificationError, EvaluationError, InvalidInputError, certify_gibbs_matrix,
+                   instance_to_dict, load_instance)
+from .fluctuation import SLACK_TOL, grid_pass, inequality_suite, jequation_suite
 from .genrand import random_gibbs_instance
 from .response import cumulant_suite, slope_suite
 from .spinboson import (SpinBosonParams, analytic_entries, analytic_transition_matrix,
@@ -116,7 +115,7 @@ def _write_text(text: str, out) -> None:
 
 
 def _run_verify(system, raw, beta0, betas, suites):
-    checks, G = certification_suite(raw, system, beta0)
+    checks, G = certify_gibbs_matrix(raw, system, beta0)
     if G is not None:
         if "jequation" in suites or "inequalities" in suites:
             grid = grid_pass(G, betas, identities=True)
@@ -137,7 +136,7 @@ def _run_verify(system, raw, beta0, betas, suites):
 
 def cmd_sweep(args) -> int:
     system, raw, beta0, _ = _resolve_source(args)
-    checks, G = certification_suite(raw, system, beta0)
+    checks, G = certify_gibbs_matrix(raw, system, beta0)
     if G is None:
         raise CertificationError("; ".join(f"{c.label} fails: {c.lhs:.3e} > {c.rhs:g}"
                                            for c in checks if not c.holds))

@@ -12,8 +12,9 @@ The conventions used throughout the package:
   Kullback-Leibler divergence returns ``inf`` (a sentinel, not an exception)
   when the second argument misses support of the first.
 * A "Gibbs matrix" is a left stochastic matrix that holds the Gibbs state at
-  the bath inverse temperature ``beta0`` fixed.  This is the only structural
+  the bath inverse temperature ``beta0`` fixed, the only structural
   assumption the inequality checks in :mod:`nlsthermo.fluctuation` rely on.
+  Its rules live here only, and :func:`certify_gibbs_matrix` reports them.
 
 All values here are immutable after construction and all operations are pure
 functions, so everything is safe to share between threads.
@@ -36,7 +37,7 @@ __all__ = [
     "TransitionMatrix",
     "GibbsMatrix",
     "TwoPointDistribution",
-    "GibbsCertificate",
+    "InequalityReport",
     "SUM_TOL",
     "FIXED_POINT_TOL",
     "make_gibbs_state",
@@ -238,21 +239,14 @@ class TwoPointDistribution:
 
 
 @dataclass(frozen=True)
-class GibbsCertificate:
-    """Each Gibbs-matrix rule's value and verdict for a raw matrix; failures
-    are reported here, never raised.  ``passed`` holds exactly when
-    ``GibbsMatrix(TransitionMatrix(raw), system, beta0)`` constructs."""
+class InequalityReport:
+    """Outcome of checking ``lhs <= rhs``; ``slack = rhs - lhs``."""
 
-    column_sum_deviation: float
-    fixed_point_residual: float
-    min_entry: float
-    column_sums_hold: bool
-    fixed_point_holds: bool
-    sign_holds: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.column_sums_hold and self.fixed_point_holds and self.sign_holds
+    label: str
+    lhs: float
+    rhs: float
+    slack: float
+    holds: bool
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +261,21 @@ def gibbs_log_weights(system: LevelSystem, beta):
     log Z; a float gives one row and a float.  Each row is shifted by its
     maximum exponent before exponentiating, so large ``|beta * E_n|``
     neither overflows nor loses the normalization, and a row is bit for bit
-    the same whether its beta comes alone or in an array.
+    the same whether its beta comes alone or in an array.  An exponent
+    below the double range is a weight of 0, but a row whose largest one
+    leaves it raises :class:`EvaluationError` naming its beta.
     """
     beta = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("beta must be finite")
-    scores = np.log(system.degeneracy_weights()) - beta[..., None] * system.energies
-    shift = scores.max(axis=-1, keepdims=True)
-    log_z = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
-    return scores - log_z, float(log_z[0]) if beta.ndim == 0 else log_z[..., 0]
+    with np.errstate(over="ignore"):
+        scores = np.log(system.degeneracy_weights()) - beta[..., None] * system.energies
+        shift = scores.max(axis=-1, keepdims=True)
+        if not np.isfinite(shift).all():
+            bad = float(np.atleast_1d(beta)[np.argmin(np.isfinite(shift[..., 0]))])
+            raise EvaluationError(f"the Gibbs exponent leaves the double range at beta={bad!r}")
+        log_z = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
+        return scores - log_z, float(log_z[0]) if beta.ndim == 0 else log_z[..., 0]
 
 
 def make_gibbs_state(system: LevelSystem, beta: float) -> ProbabilityVector:
@@ -439,9 +439,9 @@ def _column_sum_rule(t: np.ndarray) -> tuple[float, str | None]:
 
 
 def _sign_rule(t: np.ndarray) -> tuple[float, str | None]:
-    """min entry >= 0."""
+    """-(min entry) <= 0."""
     low = float(t.min())
-    return low, None if low >= 0.0 else (
+    return -low, None if low >= 0.0 else (
         f"transition matrix entries must be nonnegative, got {low!r}")
 
 
@@ -452,17 +452,24 @@ def _fixed_point_rule(t: np.ndarray, p0: np.ndarray) -> tuple[float, str | None]
         f"residual {residual:.3e} exceeds {FIXED_POINT_TOL:g}")
 
 
-def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float) -> GibbsCertificate:
-    """Measure a bare array (or a :class:`TransitionMatrix`) against each
-    rule of the Gibbs-matrix constructors.  A broken rule lands in the
-    certificate instead of raising, so defective inputs can be diagnosed."""
+def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
+                         ) -> tuple[list[InequalityReport], GibbsMatrix | None]:
+    """A report line per rule of the Gibbs-matrix constructors, its value as
+    ``lhs`` against its bound as ``rhs`` and ``holds`` with no slack; a broken
+    rule lands in its line instead of raising.  Then the Gibbs matrix if
+    every line holds, else ``None``.  ``matrix`` may be a bare array."""
     raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
     if raw.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
     p0 = make_gibbs_state(system, beta0).weights
-    (dev, columns), (low, sign), (residual, fixed) = (
-        _column_sum_rule(raw), _sign_rule(raw), _fixed_point_rule(raw, p0))
-    return GibbsCertificate(dev, residual, low, columns is None, fixed is None, sign is None)
+    rules = [("certification: column-sum deviation <= tol", SUM_TOL, _column_sum_rule(raw)),
+             ("certification: fixed-point residual <= tol", FIXED_POINT_TOL,
+              _fixed_point_rule(raw, p0)),
+             ("certification: entries nonnegative", 0.0, _sign_rule(raw))]
+    reports = [InequalityReport(label, lhs, rhs, rhs - lhs, failure is None)
+               for label, rhs, (lhs, failure) in rules]
+    certified = all(r.holds for r in reports)
+    return reports, GibbsMatrix(TransitionMatrix(raw), system, beta0) if certified else None
 
 
 # ---------------------------------------------------------------------------

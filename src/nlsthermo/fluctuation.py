@@ -3,7 +3,8 @@
 Everything here reports rather than asserts: each check returns an
 :class:`InequalityReport` whose ``holds`` flag allows a one-sided slack of
 ``SLACK_TOL`` below zero, absorbing floating-point summation error in
-identities that are exact in real arithmetic (a certification line has no slack).
+identities that are exact in real arithmetic.  The Gibbs-matrix rules every
+check here assumes are certified by :func:`nlsthermo.core.certify_gibbs_matrix`.
 
 The identities:
 
@@ -19,11 +20,9 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
-:func:`certification_suite` reports the Gibbs-matrix rules and builds the
-matrix; :func:`grid_pass` evaluates the per-point quantities over a whole
-beta grid as arrays, a block of beta rows at a time; the suites
-:func:`jequation_suite` and :func:`inequality_suite` reduce its arrays to
-worst-case reports.
+:func:`grid_pass` evaluates the per-point quantities over a whole beta grid
+as arrays, a block of beta rows at a time; the suites :func:`jequation_suite`
+and :func:`inequality_suite` reduce its arrays to worst-case reports.
 """
 
 from __future__ import annotations
@@ -33,16 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FIXED_POINT_TOL,
     SUM_TOL,
     EvaluationError,
     GibbsMatrix,
+    InequalityReport,
     InvalidInputError,
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
     _weights_of,
-    certify_gibbs_matrix,
     entropy,
     gibbs_log_weights,
     kl_divergence,
@@ -54,7 +52,6 @@ from .core import (
 __all__ = [
     "SLACK_TOL",
     "J_EQUATION_TOL",
-    "InequalityReport",
     "ClausiusBounds",
     "GridPass",
     "compare",
@@ -67,7 +64,6 @@ __all__ = [
     "kl_monotonicity_check",
     "bistochastic_work_check",
     "grid_pass",
-    "certification_suite",
     "jequation_suite",
     "inequality_suite",
 ]
@@ -81,17 +77,6 @@ J_EQUATION_TOL = 1e-10
 #: beta rows :func:`grid_pass` evaluates together; temporaries stay near
 #: 2 MB at N = 96
 BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of checking ``lhs <= rhs``; ``slack = rhs - lhs``."""
-
-    label: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
 
 
 def compare(label: str, lhs: float, rhs: float) -> InequalityReport:
@@ -361,22 +346,6 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         kl_before[rows] = np.where(block_positive, _row_kl(p, p0), np.nan)
     extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
     return GridPass(G.beta0, betas, dq, ds, *extras)
-
-
-def certification_suite(raw, system: LevelSystem, beta0: float
-                        ) -> tuple[list[InequalityReport], GibbsMatrix | None]:
-    """A line per rule of :func:`certify_gibbs_matrix`, its bound as ``rhs`` and
-    its verdict as ``holds``; and the Gibbs matrix if all hold, else ``None``."""
-    cert = certify_gibbs_matrix(raw, system, beta0)
-    rules = [("certification: column-sum deviation <= tol", cert.column_sum_deviation,
-              SUM_TOL, cert.column_sums_hold),
-             ("certification: fixed-point residual <= tol", cert.fixed_point_residual,
-              FIXED_POINT_TOL, cert.fixed_point_holds),
-             ("certification: entries nonnegative", -cert.min_entry, 0.0, cert.sign_holds)]
-    reports = [InequalityReport(label, lhs, rhs, rhs - lhs, holds)
-               for label, lhs, rhs, holds in rules]
-    G = GibbsMatrix(TransitionMatrix(raw), system, beta0) if cert.passed else None
-    return reports, G
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:

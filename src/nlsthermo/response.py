@@ -27,13 +27,14 @@ from .core import (
     SUM_TOL,
     EvaluationError,
     GibbsMatrix,
+    InequalityReport,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
     _expectation_sum,
     delta_q_table,
 )
-from .fluctuation import InequalityReport, _marginal_changes, compare, heat_and_entropy_change
+from .fluctuation import _marginal_changes, compare, heat_and_entropy_change
 
 __all__ = [
     "SlopeBundle",
@@ -57,6 +58,10 @@ __all__ = [
 
 #: closed-form slope routes must agree to this relative tolerance
 CLOSED_FORM_RTOL = 1e-9
+#: cumulant-expansion residuals at or below this are rounding, not truncation
+CUMULANT_FLOOR = 1e-13
+#: least fitted log-log exponent of residuals above ``CUMULANT_FLOOR``
+CUMULANT_EXPONENT = 2.5
 #: the finite-difference route must agree to this relative tolerance
 NUMERIC_RTOL = 1e-4
 #: slopes may undershoot zero by at most this much
@@ -220,18 +225,18 @@ def cumulant_deviation(G: GibbsMatrix, t: float) -> float:
 
 def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
     """Truncation order of the second-order cumulant expansion: residuals at
-    the rounding floor, or a fitted log-log exponent of at least 2.5."""
+    most ``CUMULANT_FLOOR``, or a fitted exponent >= ``CUMULANT_EXPONENT``."""
     # two-sided max per |t|: the odd and even parts of the remainder add in
     # magnitude on one of the two sides, so no cancellation can distort the fit
     t_grid = (0.1, 0.05, 0.025)
     residuals = [max(cumulant_deviation(G, t), cumulant_deviation(G, -t))
                  for t in t_grid]
-    if max(residuals) <= 1e-13:
+    if max(residuals) <= CUMULANT_FLOOR:
         return [compare("cumulant truncation: residuals at rounding floor",
-                        max(residuals), 1e-13)]
+                        max(residuals), CUMULANT_FLOOR)]
     exponent = float(np.polyfit(np.log(t_grid), np.log(residuals), 1)[0])
-    return [compare("cumulant truncation: fitted residual exponent >= 2.5",
-                    2.5, exponent)]
+    return [compare(f"cumulant truncation: fitted residual exponent >= {CUMULANT_EXPONENT:g}",
+                    CUMULANT_EXPONENT, exponent)]
 
 
 def newton_cooling_coefficient(G: GibbsMatrix) -> float:

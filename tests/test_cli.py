@@ -426,6 +426,17 @@ class TestSubnormalFixedPoint:
         assert run_cli("sweep", "--input", path) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_past_the_double_range_exits_one_naming_beta(self, tmp_path, capsys):
+        # -beta E_1 = 1e310 at beta = -1e10: once NaN rows with exit 0
+        path = write_instance(tmp_path, [0.0, 1e300], [[1.0, 0.0], [0.0, 1.0]])
+        assert run_cli("sweep", "--input", path, "--beta-min=-1e10", "--beta-max=1e10",
+                       "--steps", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the Gibbs exponent leaves the double range "
+                                "at beta=-10000000000.0\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gap", [735.0, 740.0])
     def test_subnormal_weight_fails_the_heat_line_with_a_full_report(self, tmp_path, capsys,
                                                                     gap):

@@ -36,6 +36,7 @@ from nlsthermo.core import (
     two_point_distribution,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
+from nlsthermo.spinboson import spin1_level_system
 
 
 def uniform_system(n):
@@ -182,6 +183,24 @@ class TestGibbsState:
         assert all(isinstance(z, float) for _, z in rows)
         np.testing.assert_array_equal(log_p, np.stack([lp for lp, _ in rows]))
         np.testing.assert_array_equal(log_z, [z for _, z in rows])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta, weights", [(1e308, [0.0, 0.0, 1.0]),
+                                               (-1e308, [1.0, 0.0, 0.0])])
+    def test_exponents_past_the_double_range_are_zero_weights(self, beta, weights):
+        # spin-1 levels 1, 0, -1: -beta E_n is -1e308, 0, 1e308 and the
+        # shifted exponent -2e308 leaves the double range; exp gives 0
+        assert make_gibbs_state(spin1_level_system(), beta).weights.tolist() == weights
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_whose_largest_exponent_overflows_names_its_beta(self):
+        system = LevelSystem([0.0, 1e300], [1, 1])
+        log_p, _ = gibbs_log_weights(system, [0.0, 1e10])
+        assert log_p[1].tolist() == [0.0, -math.inf]
+        with pytest.raises(EvaluationError, match=r"double range at beta=-10000000000\.0$"):
+            gibbs_log_weights(system, [0.0, -1e10, -2e10])
+        with pytest.raises(EvaluationError, match=r"at beta=-1e\+300$"):
+            make_gibbs_state(LevelSystem([1e300, 2e300], [1, 1]), -1e300)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_array_with_a_nonfinite_beta_rejected(self, bad):
@@ -446,26 +465,30 @@ class TestDeltaRandomVariables:
 # ---------------------------------------------------------------------------
 
 class TestCertification:
+    # report lines: 0 column-sum deviation, 1 fixed-point residual, 2 sign
+
     def test_identity_passes_with_zero_residual(self):
         system = uniform_system(4)
-        cert = certify_gibbs_matrix(np.eye(4), system, beta0=0.9)
-        assert cert.passed
-        assert cert.fixed_point_residual == 0.0
-        assert cert.column_sum_deviation == 0.0
+        reports, G = certify_gibbs_matrix(np.eye(4), system, beta0=0.9)
+        assert G is not None
+        assert reports[1].lhs == 0.0
+        assert reports[0].lhs == 0.0
 
     def test_perturbed_column_fails_with_reported_deviation(self):
         inst = random_gibbs_instance(4, 10)
         raw = inst.matrix.entries.copy()
         raw[:, 1] *= 1.001
-        cert = certify_gibbs_matrix(raw, inst.system, beta0=1.0)
-        assert not cert.passed
-        assert cert.column_sum_deviation == pytest.approx(1e-3, rel=1e-2)
+        reports, G = certify_gibbs_matrix(raw, inst.system, beta0=1.0)
+        assert G is None
+        assert not reports[0].holds
+        assert reports[0].lhs == pytest.approx(1e-3, rel=1e-2)
 
     def test_accepts_transition_matrix_objects(self):
         inst = random_gibbs_instance(3, 5)
-        cert = certify_gibbs_matrix(inst.matrix, inst.system, beta0=1.0)
-        assert cert.passed
-        assert cert.fixed_point_residual <= 1e-12
+        reports, G = certify_gibbs_matrix(inst.matrix, inst.system, beta0=1.0)
+        assert G is not None
+        assert reports[1].lhs <= 1e-12
+        np.testing.assert_array_equal(G.matrix.entries, inst.matrix.entries)
 
 
 def detailed_balance_matrix(system, beta0, rng):
@@ -479,53 +502,93 @@ def detailed_balance_matrix(system, beta0, rng):
     return t, p0
 
 
+def pushed_across(n, seed, seeded_instance, rule, scale, factor):
+    """(raw, system, beta0): a Gibbs matrix with one rule's value moved by
+    about ``factor * scale``, across its bound or not."""
+    rng = np.random.default_rng(seed)
+    if seeded_instance and rule != "sign":  # its entries are all positive
+        inst = random_gibbs_instance(n, seed)
+        system, beta0, raw = inst.system, inst.beta0, inst.matrix.entries.copy()
+        p0 = make_gibbs_state(system, beta0).weights
+    else:
+        system = LevelSystem(rng.uniform(-2.0, 2.0, size=n), rng.integers(1, 3, size=n))
+        beta0 = float(rng.uniform(0.2, 2.0))
+        raw, p0 = detailed_balance_matrix(system, beta0, rng)
+    col = int(rng.integers(n))
+    if rule == "column":
+        # one entry, so one column sum, moves by about factor * scale
+        raw[int(rng.integers(n)), col] += factor * scale
+    elif rule == "sign":
+        # drop one pair of flows (detailed balance still holds), then let
+        # one of them dip below zero with the diagonal keeping the column
+        # sum; the fixed point moves far less than its bound
+        row = (col + 1) % n
+        raw[col, col] += raw[row, col]
+        raw[row, row] += raw[col, row]
+        raw[row, col] = raw[col, row] = 0.0
+        raw[row, col] = -factor * scale
+        raw[col, col] += factor * scale
+    else:
+        # mass moves within a column: residual about factor * scale
+        shift = min(factor * scale / p0[col], raw[col, col])
+        raw[col, col] -= shift
+        raw[(col + 1) % n, col] += shift
+    return raw, system, beta0
+
+
+def constructor_verdicts(raw, system, beta0):
+    """Each rule's verdict as the constructors reach it, in report-line order
+    (column sums, fixed point, sign); ``None`` for a rule left unchecked
+    because ``TransitionMatrix`` raised first (it checks the sign first)."""
+    try:
+        T = TransitionMatrix(raw)
+    except CertificationError as exc:
+        return [None, None, False] if "nonnegative" in str(exc) else [False, None, True]
+    try:
+        GibbsMatrix(T, system, beta0)
+    except CertificationError:
+        return [True, False, True]
+    return [True, True, True]
+
+
+PUSHED = (st.integers(2, 8), st.integers(0, 10_000), st.booleans(),
+          st.sampled_from(["column", "sign", "fixed_point"]),
+          st.sampled_from([SUM_TOL, FIXED_POINT_TOL]),
+          st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
+                    st.floats(0.0, 3.0)))
+
+
 class TestCertifiedIffConstructs:
-    """``certify_gibbs_matrix(raw, ...).passed`` holds exactly when
-    ``GibbsMatrix(TransitionMatrix(raw), ...)`` constructs, for matrices
+    """``certify_gibbs_matrix(raw, ...)`` returns a Gibbs matrix exactly when
+    ``GibbsMatrix(TransitionMatrix(raw), ...)`` constructs, and each report
+    line agrees with the constructors' verdict on its rule, for matrices
     pushed across each rule's bound."""
 
-    @given(st.integers(2, 8), st.integers(0, 10_000), st.booleans(),
-           st.sampled_from(["column", "sign", "fixed_point"]),
-           st.sampled_from([SUM_TOL, FIXED_POINT_TOL]),
-           st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
-                     st.floats(0.0, 3.0)))
+    @given(*PUSHED)
     @settings(max_examples=300, deadline=None)
     def test_certified_iff_constructs(self, n, seed, seeded_instance, rule, scale, factor):
-        rng = np.random.default_rng(seed)
-        if seeded_instance and rule != "sign":  # its entries are all positive
-            inst = random_gibbs_instance(n, seed)
-            system, beta0, raw = inst.system, inst.beta0, inst.matrix.entries.copy()
-            p0 = make_gibbs_state(system, beta0).weights
-        else:
-            system = LevelSystem(rng.uniform(-2.0, 2.0, size=n), rng.integers(1, 3, size=n))
-            beta0 = float(rng.uniform(0.2, 2.0))
-            raw, p0 = detailed_balance_matrix(system, beta0, rng)
-        col = int(rng.integers(n))
-        if rule == "column":
-            # one entry, so one column sum, moves by about factor * scale
-            raw[int(rng.integers(n)), col] += factor * scale
-        elif rule == "sign":
-            # drop one pair of flows (detailed balance still holds), then let
-            # one of them dip below zero with the diagonal keeping the column
-            # sum; the fixed point moves far less than its bound
-            row = (col + 1) % n
-            raw[col, col] += raw[row, col]
-            raw[row, row] += raw[col, row]
-            raw[row, col] = raw[col, row] = 0.0
-            raw[row, col] = -factor * scale
-            raw[col, col] += factor * scale
-        else:
-            # mass moves within a column: residual about factor * scale
-            shift = min(factor * scale / p0[col], raw[col, col])
-            raw[col, col] -= shift
-            raw[(col + 1) % n, col] += shift
-        cert = certify_gibbs_matrix(raw, system, beta0)
+        raw, system, beta0 = pushed_across(n, seed, seeded_instance, rule, scale, factor)
+        _, G = certify_gibbs_matrix(raw, system, beta0)
         try:
             GibbsMatrix(TransitionMatrix(raw), system, beta0)
             constructs = True
         except CertificationError:
             constructs = False
-        assert cert.passed is constructs
+        assert (G is not None) is constructs
+
+    @given(*PUSHED)
+    @settings(max_examples=300, deadline=None)
+    def test_each_line_is_the_constructors_verdict(self, n, seed, seeded_instance, rule,
+                                                   scale, factor):
+        raw, system, beta0 = pushed_across(n, seed, seeded_instance, rule, scale, factor)
+        reports, _ = certify_gibbs_matrix(raw, system, beta0)
+        verdicts = constructor_verdicts(raw, system, beta0)
+        assert [r.label for r in reports] == [
+            "certification: column-sum deviation <= tol",
+            "certification: fixed-point residual <= tol",
+            "certification: entries nonnegative"]
+        assert all(r.slack == r.rhs - r.lhs for r in reports)
+        assert all(v is None or v == r.holds for v, r in zip(verdicts, reports))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from nlsthermo.core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
+    certify_gibbs_matrix,
     entropy,
     make_gibbs_state,
     mean_energy,
@@ -24,7 +25,6 @@ from nlsthermo.fluctuation import (
     J_EQUATION_TOL,
     GridPass,
     bistochastic_work_check,
-    certification_suite,
     clausius_bounds,
     compare,
     entropy_flow_check,
@@ -503,13 +503,16 @@ class TestGridSuites:
 
 
 class TestCertificationSuite:
+    """The certification lines every verify report opens with, from
+    :func:`nlsthermo.core.certify_gibbs_matrix`."""
+
     LABELS = ["certification: column-sum deviation <= tol",
               "certification: fixed-point residual <= tol",
               "certification: entries nonnegative"]
 
     def test_certified_instance_passes_with_the_rule_bounds(self):
         inst = random_gibbs_instance(6, 4)
-        reports, G = certification_suite(inst.matrix.entries, inst.system, inst.beta0)
+        reports, G = certify_gibbs_matrix(inst.matrix.entries, inst.system, inst.beta0)
         assert [r.label for r in reports] == self.LABELS
         assert [r.rhs for r in reports] == [SUM_TOL, FIXED_POINT_TOL, 0.0]
         assert all(r.holds and r.slack >= 0.0 for r in reports)
@@ -528,13 +531,13 @@ class TestCertificationSuite:
     def test_each_line_holds_exactly_when_its_rule_does(self, entry, failing):
         raw = np.eye(3)
         raw[1, 2] = entry
-        reports, G = certification_suite(raw, LevelSystem([0.0, 1.0, 2.0], [1, 1, 1]), 1.0)
+        reports, G = certify_gibbs_matrix(raw, LevelSystem([0.0, 1.0, 2.0], [1, 1, 1]), 1.0)
         assert [i for i, r in enumerate(reports) if not r.holds] == failing
         assert (G is None) == bool(failing)
         assert all(r.holds == (r.slack >= 0.0) for r in reports)
 
     def test_broken_fixed_point_fails_only_its_line(self):
         inst = random_gibbs_instance(4, 8)
-        reports, G = certification_suite(inst.matrix.entries, inst.system, 2.0)
+        reports, G = certify_gibbs_matrix(inst.matrix.entries, inst.system, 2.0)
         assert [r.holds for r in reports] == [True, False, True]
         assert G is None

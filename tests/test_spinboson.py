@@ -139,9 +139,9 @@ class TestAnalyticMatrix:
 
     def test_certifies_as_gibbs_matrix(self):
         for beta0 in (0.5, 1.0, 2.0):
-            cert = certify_gibbs_matrix(analytic_transition_matrix(beta0),
+            _, G = certify_gibbs_matrix(analytic_transition_matrix(beta0),
                                         spin1_level_system(), beta0)
-            assert cert.passed
+            assert G is not None
         spin1_gibbs_matrix(1.0)
 
     def test_domain_error(self):
@@ -168,8 +168,8 @@ class TestAnalyticMatrix:
     def test_lower_bound_is_the_smallest_beta0_that_evaluates(self):
         # from 2^-52 down e^{beta0/2} rounds to 1 and atanh(e^{-beta0/2}) diverges
         for beta0 in (MIN_BETA0, 2.3e-16):
-            cert = certify_gibbs_matrix(analytic_entries(beta0), spin1_level_system(), beta0)
-            assert cert.passed
+            _, G = certify_gibbs_matrix(analytic_entries(beta0), spin1_level_system(), beta0)
+            assert G is not None
         for beta0 in (math.nextafter(MIN_BETA0, 0.0), 2.2e-16, 1e-16, 5e-324):
             with pytest.raises(InvalidInputError, match=r"\[MIN_BETA0 = 2\.2204460492503136e-16,"):
                 analytic_entries(beta0)
@@ -265,8 +265,8 @@ class TestNumericalOracle:
 
     def test_certifies_as_gibbs_matrix(self):
         numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0, n_max=40))
-        cert = certify_gibbs_matrix(numeric, spin1_level_system(), 1.0)
-        assert cert.passed
+        _, G = certify_gibbs_matrix(numeric, spin1_level_system(), 1.0)
+        assert G is not None
 
     @pytest.mark.parametrize("n_max", [_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_chunk_seams(self, n_max):

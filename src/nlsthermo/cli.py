@@ -17,6 +17,7 @@ stderr), so identical invocations produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -45,13 +46,8 @@ def sweep_records(G, betas) -> np.ndarray:
     """The three swept quantities of Gibbs matrix ``G`` on a beta grid, in
     order: a (steps, 4) array of rows beta, beta <dQ>, beta0 <dQ>, <dS>.
 
-    The two-sided Clausius ordering is re-checked over the whole grid, and a
-    violation is raised as an error naming the first violating beta rather
-    than reported.  Beyond an uncertified matrix slipping through, it also
-    comes from a certified one whose Gibbs weight at beta0 is so small that
-    the absolute fixed-point rule cannot see a relative defect: energies
-    [0, 735], transition [[1 - 1e-11, 0], [1e-11, 1]] and beta0 = 1 certify
-    (residual 1e-11), yet fail here at beta = 0.
+    The two-sided Clausius ordering is re-checked over the whole grid; a
+    violation raises an error naming the first violating beta.
     """
     grid = grid_pass(G, betas)
     # inf and NaN pass through silently, as in scalar float arithmetic
@@ -238,6 +234,7 @@ def _add_grid_options(sub) -> None:
                      help="grid points, endpoints included (default 201)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlsthermo",

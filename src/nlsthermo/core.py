@@ -15,6 +15,11 @@ The conventions used throughout the package:
   the bath inverse temperature ``beta0`` fixed, the only structural
   assumption the inequality checks in :mod:`nlsthermo.fluctuation` rely on.
   Its rules live here only, and :func:`certify_gibbs_matrix` reports them.
+  The fixed point is certified relatively: rho = T p0 / p0, formed in log
+  space, has max |rho - 1| <= ``FIXED_POINT_TOL`` (so max |T p0 - p0| <= tol
+  too, as p0 <= 1).  At every beta that gives |J_heat - 1| <= max |rho - 1|
+  and, by KL contraction, <dS> - beta0 <dQ> =
+  S(p || p0) - S(q || T p0) - sum_m q_m log rho_m >= -log(1 + tol).
 
 All values here are immutable after construction and all operations are pure
 functions, so everything is safe to share between threads.
@@ -60,7 +65,7 @@ __all__ = [
 #: absolute tolerance on probability normalization and column sums
 SUM_TOL = 1e-12
 
-#: absolute tolerance on fixed-point residuals of externally supplied matrices
+#: tolerance on max |rho - 1|, rho = T p0 / p0, for externally supplied matrices
 FIXED_POINT_TOL = 1e-10
 
 #: largest degeneracy: every integer up to it is an exact double
@@ -180,8 +185,8 @@ class GibbsMatrix:
     """A transition matrix certified to fix the Gibbs state at ``beta0``.
 
     Construction computes the fixed point from the level system and raises
-    :class:`CertificationError` when the residual ``max |T p0 - p0|`` exceeds
-    ``FIXED_POINT_TOL``.
+    :class:`CertificationError`, naming the level, when the ratio
+    rho = T p0 / p0 has ``max |rho - 1|`` above ``FIXED_POINT_TOL`` or NaN.
     """
 
     matrix: TransitionMatrix
@@ -193,12 +198,12 @@ class GibbsMatrix:
         object.__setattr__(self, "beta0", float(self.beta0))
         if self.matrix.size != self.system.size:
             raise InvalidInputError("matrix and level system sizes differ")
-        p0 = make_gibbs_state(self.system, self.beta0)
-        _, failure = _fixed_point_rule(self.matrix.entries, p0.weights)
+        log_p0, _ = gibbs_log_weights(self.system, self.beta0)
+        _, failure = _fixed_point_rule(self.matrix.entries, log_p0)
         if failure is not None:
             raise CertificationError(
                 f"matrix does not fix the Gibbs state at beta0={self.beta0!r}: {failure}")
-        object.__setattr__(self, "fixed_point", p0)
+        object.__setattr__(self, "fixed_point", make_gibbs_state(self.system, self.beta0))
 
     @property
     def size(self) -> int:
@@ -445,11 +450,22 @@ def _sign_rule(t: np.ndarray) -> tuple[float, str | None]:
         f"transition matrix entries must be nonnegative, got {low!r}")
 
 
-def _fixed_point_rule(t: np.ndarray, p0: np.ndarray) -> tuple[float, str | None]:
-    """max |t p0 - p0| <= ``FIXED_POINT_TOL``."""
-    residual = float(np.abs(t @ p0 - p0).max())
-    return residual, None if residual <= FIXED_POINT_TOL else (
-        f"residual {residual:.3e} exceeds {FIXED_POINT_TOL:g}")
+def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray) -> np.ndarray:
+    """rho_m = (t p0)_m / p0_m, the sum of exp(log t[m,n] + log p0_n - log p0_m)
+    over t[m,n] > 0: exact where p0 underflows; inf on overflow, NaN on -inf - -inf."""
+    rows, cols = np.nonzero(t > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(np.log(t[rows, cols]) + log_p0[cols] - log_p0[rows])
+    return np.bincount(rows, weights=terms, minlength=t.shape[0])
+
+
+def _fixed_point_rule(t: np.ndarray, log_p0: np.ndarray) -> tuple[float, str | None]:
+    """max |rho - 1| <= ``FIXED_POINT_TOL``; argmax picks a NaN, which fails."""
+    dev = np.abs(_fixed_point_ratio(t, log_p0) - 1.0)
+    m = int(np.argmax(dev))
+    worst = float(dev[m])
+    return worst, None if worst <= FIXED_POINT_TOL else (
+        f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
 
 
 def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
@@ -461,10 +477,10 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
     raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
     if raw.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
-    p0 = make_gibbs_state(system, beta0).weights
+    log_p0, _ = gibbs_log_weights(system, beta0)
     rules = [("certification: column-sum deviation <= tol", SUM_TOL, _column_sum_rule(raw)),
-             ("certification: fixed-point residual <= tol", FIXED_POINT_TOL,
-              _fixed_point_rule(raw, p0)),
+             ("certification: fixed-point ratio max |rho - 1| <= tol", FIXED_POINT_TOL,
+              _fixed_point_rule(raw, log_p0)),
              ("certification: entries nonnegative", 0.0, _sign_rule(raw))]
     reports = [InequalityReport(label, lhs, rhs, rhs - lhs, failure is None)
                for label, rhs, (lhs, failure) in rules]
@@ -509,7 +525,10 @@ def instance_from_dict(obj) -> tuple[LevelSystem, np.ndarray, float]:
     arrays = []
     for key in ("energies", "degeneracies", "transition"):
         try:
-            arrays.append(np.asarray(obj[key], dtype=float))
+            values = np.asarray(obj[key])
+            if values.dtype.kind in "bSU":
+                raise TypeError("must hold numbers, not strings or booleans")
+            arrays.append(values.astype(float))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"field '{key}': {exc}") from exc
     energies, degeneracies, transition = arrays

@@ -40,6 +40,7 @@ from .core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
+    _fixed_point_ratio,
     _weights_of,
     entropy,
     gibbs_log_weights,
@@ -123,19 +124,6 @@ def heat_and_entropy_change(G: GibbsMatrix, beta: float) -> tuple[float, float]:
 # J-equations
 # ---------------------------------------------------------------------------
 
-def _image_of_positive(T: TransitionMatrix, p0w: np.ndarray) -> np.ndarray:
-    """q0 = T p0 for a strictly positive ``p0``, unclipped."""
-    q0 = T.entries @ p0w
-    # with p0 > 0, q0_j = 0 forces row j of T to vanish, which removes all
-    # probability from outcome j; anything else is a defective input
-    bad = (q0 == 0.0) & (T.entries.max(axis=1) > 0.0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise EvaluationError(
-            f"q0 vanishes on the positive-probability outcome j={j}")
-    return q0
-
-
 def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
     """Expectation of p0_i ptilde_j / (q0_j p_i) under P(i, j) = T[j, i] p_i.
 
@@ -154,8 +142,13 @@ def general_j_expectation(T: TransitionMatrix, p, p0, ptilde) -> float:
         raise InvalidInputError("p must be strictly positive")
     if np.any(p0w <= 0.0):
         raise InvalidInputError("p0 must be strictly positive")
-    q0 = _image_of_positive(T, p0w)
     t_entries = T.entries
+    q0 = t_entries @ p0w
+    # with p0 > 0, q0_j = 0 only on a zero row j of T; anything else is a defective input
+    bad = (q0 == 0.0) & (t_entries.max(axis=1) > 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise EvaluationError(f"q0 vanishes on the positive-probability outcome j={j}")
     rows, cols = np.nonzero(t_entries > 0.0)
     terms = ((t_entries[rows, cols] * pw[cols])
              * (p0w[cols] * ptw[rows]) / (q0[rows] * pw[cols]))
@@ -282,11 +275,10 @@ class GridPass:
     kl_before: np.ndarray | None = None
 
 
-def _row_kl(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """sum_n w_n (log w_n - log ref_n) of each row for a strictly positive
-    ``ref``, with 0 log 0 = 0 and no overflow for a subnormal ``ref``:
-    S(w || ref), or the entropy -S(w) when ``ref`` holds the degeneracies."""
-    return np.sum(w * (np.log(np.where(w > 0.0, w, 1.0)) - np.log(ref)), axis=1)
+def _row_kl(w: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
+    """sum_n w_n (log w_n - log_ref_n) of each row, with 0 log 0 = 0: S(w || ref),
+    or the entropy -S(w) when ``log_ref`` holds the log degeneracies."""
+    return np.sum(w * (np.log(np.where(w > 0.0, w, 1.0)) - log_ref), axis=1)
 
 
 def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
@@ -299,31 +291,25 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J double sum
     sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly p @ rho with
     rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every beta the line
-    certifies what the fixed-point rule implies.  The general J value with
-    ptilde = q is sum_{m,n} T[m,n] p0_n q_m / q0_m = sum_m q_m (T p0)_m / q0_m,
-    i.e. the sum of q over the rows where q0 > 0: it equals one up to the
-    rounding of that sum.  :func:`j_heat_expectation` and
-    :func:`general_j_expectation` keep the double sums and stay the
-    reference; summation order differs, so values agree to rounding, not bit
-    for bit.  With ``identities``, a Gibbs weight of p0 that underflows to 0
-    raises :class:`EvaluationError`, as both the ratio and S(p || p0) need it.
+    certifies what the fixed-point rule implies.  rho and log p0 are the
+    log-space values certification reads, so log q0 = log rho + log p0 and
+    both KL sides stay exact where p0 is subnormal or underflows.  The
+    general J value with ptilde = q is sum_m q_m (T p0)_m / q0_m, the sum of
+    q over the support rho > 0: one up to the rounding of that sum.
+    :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
+    double sums and stay the reference, agreeing to rounding, not bit for bit.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1:
         raise InvalidInputError("betas must be a 1-D grid")
     system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
-    energies, degeneracies = system.energies, system.degeneracy_weights()
+    energies, log_d = system.energies, np.log(system.degeneracy_weights())
     dq, ds = np.empty(size), np.empty(size)
     if identities:
-        p0 = G.fixed_point.weights
-        if np.any(p0 <= 0.0):
-            n = int(np.argmax(p0 <= 0.0))
-            raise EvaluationError(
-                f"the Gibbs weight of level n={n} underflows to 0 at beta0={G.beta0!r}")
-        q0 = np.clip(_image_of_positive(G.matrix, p0), 0.0, 1.0)
-        # q0_m = 0 only on a zero row of T, where q_m = 0 too
-        on_support = (q0 > 0.0).astype(float)
-        q0_ref = np.where(q0 > 0.0, q0, 1.0)
+        log_p0, _ = gibbs_log_weights(system, G.beta0)
+        rho = _fixed_point_ratio(t_entries, log_p0)  # certified: finite, near 1
+        support = rho > 0.0
+        log_q0 = np.log(np.where(support, rho, 1.0)) + log_p0
         positive = np.empty(size, dtype=bool)
         j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(4))
     for lo in range(0, size, BLOCK_ROWS):
@@ -333,17 +319,15 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         p /= p.sum(axis=1, keepdims=True)
         q = np.clip(p @ t_entries.T, 0.0, 1.0)
         dq[rows] = q @ energies - p @ energies
-        ds[rows] = _row_kl(p, degeneracies) - _row_kl(q, degeneracies)
+        ds[rows] = _row_kl(p, log_d) - _row_kl(q, log_d)
         if not identities:
             continue
-        # a subnormal p0 can overflow rho, whose inf (NaN where p = 0) fails the line
-        with np.errstate(over="ignore", invalid="ignore"):
-            j_heat[rows] = p @ (q0 / p0)
+        j_heat[rows] = p @ rho
         block_positive = p.min(axis=1) > 0.0
         positive[rows] = block_positive
-        j_general[rows] = np.where(block_positive, q @ on_support, np.nan)
-        kl_after[rows] = np.where(block_positive, _row_kl(q, q0_ref), np.nan)
-        kl_before[rows] = np.where(block_positive, _row_kl(p, p0), np.nan)
+        j_general[rows] = np.where(block_positive, q @ support, np.nan)
+        kl_after[rows] = np.where(block_positive, _row_kl(q, log_q0), np.nan)
+        kl_before[rows] = np.where(block_positive, _row_kl(p, log_p0), np.nan)
     extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
     return GridPass(G.beta0, betas, dq, ds, *extras)
 

@@ -465,7 +465,7 @@ class TestDeltaRandomVariables:
 # ---------------------------------------------------------------------------
 
 class TestCertification:
-    # report lines: 0 column-sum deviation, 1 fixed-point residual, 2 sign
+    # report lines: 0 column-sum deviation, 1 fixed-point ratio, 2 sign
 
     def test_identity_passes_with_zero_residual(self):
         system = uniform_system(4)
@@ -529,10 +529,13 @@ def pushed_across(n, seed, seeded_instance, rule, scale, factor):
         raw[row, col] = -factor * scale
         raw[col, col] += factor * scale
     else:
-        # mass moves within a column: residual about factor * scale
-        shift = min(factor * scale / p0[col], raw[col, col])
+        # mass moves within a column: rho_col drops by the shift and
+        # rho_next rises by shift * p0_col / p0_next, so max |rho - 1| moves
+        # by about factor * scale
+        nxt = (col + 1) % n
+        shift = min(factor * scale / max(1.0, p0[col] / p0[nxt]), raw[col, col])
         raw[col, col] -= shift
-        raw[(col + 1) % n, col] += shift
+        raw[nxt, col] += shift
     return raw, system, beta0
 
 
@@ -585,7 +588,7 @@ class TestCertifiedIffConstructs:
         verdicts = constructor_verdicts(raw, system, beta0)
         assert [r.label for r in reports] == [
             "certification: column-sum deviation <= tol",
-            "certification: fixed-point residual <= tol",
+            "certification: fixed-point ratio max |rho - 1| <= tol",
             "certification: entries nonnegative"]
         assert all(r.slack == r.rhs - r.lhs for r in reports)
         assert all(v is None or v == r.holds for v, r in zip(verdicts, reports))

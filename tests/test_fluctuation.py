@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlsthermo.core import (
     FIXED_POINT_TOL,
     SUM_TOL,
+    CertificationError,
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
+    _fixed_point_ratio,
     certify_gibbs_matrix,
     entropy,
+    gibbs_log_weights,
     make_gibbs_state,
     mean_energy,
     propagate,
@@ -38,7 +43,7 @@ from nlsthermo.fluctuation import (
     kl_monotonicity_check,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
-from nlsthermo.spinboson import spin1_gibbs_matrix
+from nlsthermo.spinboson import analytic_entries, spin1_gibbs_matrix, spin1_level_system
 
 
 def positive_distribution(n, rng):
@@ -483,23 +488,85 @@ class TestGridSuites:
             assert np.max(np.abs(grid.j_heat - 1.0)) <= 1e-14
 
     def test_overflowing_ratio_fails_the_heat_line_without_warnings(self):
-        # certified (fixed-point residual 1e-11), but p0_1 = e^-740 / Z is
-        # subnormal, so T p0 / p0 overflows; the suite turns any warning into
-        # a failure here
-        G = GibbsMatrix(TransitionMatrix([[1.0 - 1e-11, 0.0], [1e-11, 1.0]]),
-                        LevelSystem([0.0, 740.0], [1, 1]), 1.0)
-        grid = grid_pass(G, np.linspace(-5.0, 5.0, 11), identities=True)
-        assert not np.isfinite(grid.j_heat).any()
-        assert np.isfinite(grid.kl_before[grid.positive]).all()
-        heat, _ = jequation_suite(grid)
-        assert not heat.holds
+        """The residual |T p0 - p0| is 1e-11, but p0_1 = e^-740 / Z is
+        subnormal, so rho_1 = 1e-11 e^740 overflows: the ratio rule rejects
+        the matrix, naming the level, before any grid line is evaluated, and
+        the suite turns any warning into a failure here."""
+        T = TransitionMatrix([[1.0 - 1e-11, 0.0], [1e-11, 1.0]])
+        system = LevelSystem([0.0, 740.0], [1, 1])
+        with pytest.raises(CertificationError, match=r"\|rho - 1\| = inf at level m=1 "):
+            GibbsMatrix(T, system, 1.0)
+        reports, G = certify_gibbs_matrix(T, system, 1.0)
+        assert G is None
+        assert [r.holds for r in reports] == [True, False, True]
+        assert reports[1].lhs == math.inf
 
     def test_underflowing_gibbs_weight_is_an_evaluation_error(self):
+        """A Gibbs weight that underflows to 0 is no error: rho and log p0
+        come from log space, so the identity map keeps every line exact."""
         G = GibbsMatrix(TransitionMatrix(np.eye(2)), LevelSystem([0.0, 1e300], [1, 1]), 1.0)
         assert G.fixed_point.weights[1] == 0.0
-        with pytest.raises(EvaluationError, match=r"level n=1 underflows to 0 at beta0=1\.0"):
-            grid_pass(G, [0.0, 1.0], identities=True)
-        assert np.array_equal(grid_pass(G, [0.0, 1.0]).dq, [0.0, 0.0])
+        grid = grid_pass(G, [0.0, 1.0], identities=True)
+        assert grid.j_heat.tolist() == [1.0, 1.0]
+        assert grid.positive.tolist() == [True, False]
+        # S(p || p0) = (log 2 + 1e300) / 2 - log 2 at beta = 0, the same after T
+        assert grid.kl_before[0] == pytest.approx(5e299)
+        assert grid.kl_after[0] == grid.kl_before[0]
+        assert np.array_equal(grid.dq, [0.0, 0.0])
+        assert all(r.holds for r in jequation_suite(grid) + inequality_suite(grid))
+
+
+@st.composite
+def metropolis_instances(draw):
+    """(system, T, beta0) of a Metropolis chain (Metropolis et al., J. Chem.
+    Phys. 21, 1953) with a uniform proposal: T[m, n] = min(1, p0_m / p0_n) / N
+    off the diagonal, which holds the Gibbs state fixed by detailed balance."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta0 = draw(st.floats(1e-2, 30.0))
+    spread = draw(st.floats(1e-2, 1e2))
+    system = LevelSystem(spread * rng.uniform(size=n), rng.integers(1, 5, size=n))
+    log_w = np.log(system.degeneracy_weights()) - beta0 * system.energies
+    t = np.exp(np.minimum(0.0, log_w[:, None] - log_w[None, :])) / n
+    np.fill_diagonal(t, 0.0)
+    t[np.diag_indices(n)] = 1.0 - t.sum(axis=0)
+    return system, t, beta0
+
+
+def random_instances():
+    return st.builds(random_gibbs_instance, st.integers(2, 8), st.integers(0, 10_000)).map(
+        lambda G: (G.system, G.matrix.entries, G.beta0))
+
+
+def spin1_instances():
+    return st.builds(lambda beta0: (spin1_level_system(), analytic_entries(beta0), beta0),
+                     st.floats(1e-3, 10.0))
+
+
+class TestRelativeFixedPoint:
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()))
+    @settings(max_examples=400, deadline=None)
+    def test_certified_instances_keep_the_lines_the_ratio_bounds(self, instance):
+        """On a certified instance's default grid (201 points over
+        +/- 5 beta0, every beta0 drawn here is positive): the pass raises nothing,
+        the heat J line holds, the absolute residual is within the tolerance
+        too, and <dS> - beta0 <dQ> >= -sum_m q_m log rho_m at every point, up
+        to 1e-14 and the rounding of <dQ> (eps max |E|), which beta0 scales."""
+        system, raw, beta0 = instance
+        _, G = certify_gibbs_matrix(raw, system, beta0)
+        assume(G is not None)
+        p0 = G.fixed_point.weights
+        assert np.abs(raw @ p0 - p0).max() <= FIXED_POINT_TOL
+        betas = np.linspace(-5.0 * beta0, 5.0 * beta0, 201)
+        grid = grid_pass(G, betas, identities=True)
+        heat, _ = jequation_suite(grid)
+        assert heat.holds
+        rho = _fixed_point_ratio(G.matrix.entries, gibbs_log_weights(system, beta0)[0])
+        p = np.exp(gibbs_log_weights(system, betas)[0])
+        p /= p.sum(axis=1, keepdims=True)
+        q = np.clip(p @ G.matrix.entries.T, 0.0, 1.0)
+        rounding = 1e-14 + 4 * np.finfo(float).eps * beta0 * np.abs(system.energies).max()
+        assert np.all(grid.ds - beta0 * grid.dq >= -(q @ np.log(rho)) - rounding)
 
 
 class TestCertificationSuite:
@@ -507,7 +574,7 @@ class TestCertificationSuite:
     :func:`nlsthermo.core.certify_gibbs_matrix`."""
 
     LABELS = ["certification: column-sum deviation <= tol",
-              "certification: fixed-point residual <= tol",
+              "certification: fixed-point ratio max |rho - 1| <= tol",
               "certification: entries nonnegative"]
 
     def test_certified_instance_passes_with_the_rule_bounds(self):

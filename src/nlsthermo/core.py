@@ -20,6 +20,7 @@ The conventions used throughout the package:
   too, as p0 <= 1).  At every beta that gives |J_heat - 1| <= max |rho - 1|
   and, by KL contraction, <dS> - beta0 <dQ> =
   S(p || p0) - S(q || T p0) - sum_m q_m log rho_m >= -log(1 + tol).
+  A :class:`GibbsMatrix` keeps log p0 and rho: the grid reads that table.
 
 All values here are immutable after construction and all operations are pure
 functions, so everything is safe to share between threads.
@@ -184,26 +185,31 @@ class TransitionMatrix:
 class GibbsMatrix:
     """A transition matrix certified to fix the Gibbs state at ``beta0``.
 
-    Construction computes the fixed point from the level system and raises
-    :class:`CertificationError`, naming the level, when the ratio
-    rho = T p0 / p0 has ``max |rho - 1|`` above ``FIXED_POINT_TOL`` or NaN.
+    Construction forms the read-only fixed-point table ``log_p0`` and
+    ``rho`` = T p0 / p0 and raises :class:`CertificationError`, naming the
+    level, when ``max |rho - 1|`` is above ``FIXED_POINT_TOL``.
     """
 
     matrix: TransitionMatrix
     system: LevelSystem
     beta0: float
     fixed_point: ProbabilityVector = field(init=False, repr=False)
+    log_p0: np.ndarray = field(init=False, repr=False)
+    rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta0", float(self.beta0))
         if self.matrix.size != self.system.size:
             raise InvalidInputError("matrix and level system sizes differ")
         log_p0, _ = gibbs_log_weights(self.system, self.beta0)
-        _, failure = _fixed_point_rule(self.matrix.entries, log_p0)
+        rho = _fixed_point_ratio(self.matrix.entries, log_p0, self.beta0)
+        _, failure = _fixed_point_rule(rho)
         if failure is not None:
-            raise CertificationError(
-                f"matrix does not fix the Gibbs state at beta0={self.beta0!r}: {failure}")
-        object.__setattr__(self, "fixed_point", make_gibbs_state(self.system, self.beta0))
+            raise CertificationError(f"{failure} at beta0={self.beta0!r}")
+        w = np.exp(log_p0)
+        object.__setattr__(self, "fixed_point", ProbabilityVector(w / w.sum()))
+        object.__setattr__(self, "log_p0", _freeze(log_p0))
+        object.__setattr__(self, "rho", _freeze(rho))
 
     @property
     def size(self) -> int:
@@ -432,40 +438,51 @@ def _square_finite(entries) -> np.ndarray:
     return t
 
 
-# the Gibbs-matrix rules: each returns its value and why it breaks, or None
+# the Gibbs-matrix rules: each returns its report line, value <= bound with no
+# slack (NaN fails), and, when it breaks, an error that opens with its label
 
-def _column_sum_rule(t: np.ndarray) -> tuple[float, str | None]:
+def _rule_line(label: str, value: float, bound: float, why: str):
+    holds = value <= bound
+    return (InequalityReport(label, value, bound, bound - value, holds),
+            None if holds else f"{label} fails: {why}")
+
+
+def _column_sum_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
     """max |column sum - 1| <= ``SUM_TOL``."""
     sums = t.sum(axis=0)
     n = int(np.argmax(np.abs(sums - 1.0)))
-    dev = abs(float(sums[n]) - 1.0)
-    return dev, None if dev <= SUM_TOL else (
-        f"column {n} sums to {float(sums[n])!r}, outside 1 +/- {SUM_TOL:g}")
+    return _rule_line("certification: column-sum deviation <= tol",
+                      abs(float(sums[n]) - 1.0), SUM_TOL,
+                      f"column {n} sums to {float(sums[n])!r}, outside 1 +/- {SUM_TOL:g}")
 
 
-def _sign_rule(t: np.ndarray) -> tuple[float, str | None]:
+def _sign_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
     """-(min entry) <= 0."""
     low = float(t.min())
-    return -low, None if low >= 0.0 else (
-        f"transition matrix entries must be nonnegative, got {low!r}")
+    return _rule_line("certification: entries nonnegative", -low, 0.0,
+                      f"transition matrix entries must be nonnegative, got {low!r}")
 
 
-def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray) -> np.ndarray:
+def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray, beta0: float) -> np.ndarray:
     """rho_m = (t p0)_m / p0_m, the sum of exp(log t[m,n] + log p0_n - log p0_m)
-    over t[m,n] > 0: exact where p0 underflows; inf on overflow, NaN on -inf - -inf."""
+    over t[m,n] > 0: exact where p0 underflows, inf on overflow.  A log
+    weight of -inf raises :class:`EvaluationError` naming its level."""
+    if np.isneginf(log_p0).any():
+        raise EvaluationError(f"the Gibbs log weight of level m={int(np.argmin(log_p0))} "
+                              f"leaves the double range at beta0={beta0!r}")
     rows, cols = np.nonzero(t > 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         terms = np.exp(np.log(t[rows, cols]) + log_p0[cols] - log_p0[rows])
     return np.bincount(rows, weights=terms, minlength=t.shape[0])
 
 
-def _fixed_point_rule(t: np.ndarray, log_p0: np.ndarray) -> tuple[float, str | None]:
-    """max |rho - 1| <= ``FIXED_POINT_TOL``; argmax picks a NaN, which fails."""
-    dev = np.abs(_fixed_point_ratio(t, log_p0) - 1.0)
-    m = int(np.argmax(dev))
-    worst = float(dev[m])
-    return worst, None if worst <= FIXED_POINT_TOL else (
-        f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
+def _fixed_point_rule(rho: np.ndarray) -> tuple[InequalityReport, str | None]:
+    """max |rho - 1| <= ``FIXED_POINT_TOL``."""
+    m = int(np.argmax(np.abs(rho - 1.0)))
+    worst = abs(float(rho[m]) - 1.0)
+    return _rule_line("certification: fixed-point ratio max |rho - 1| <= tol",
+                      worst, FIXED_POINT_TOL,
+                      f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
 
 
 def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
@@ -477,13 +494,8 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
     raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
     if raw.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
-    log_p0, _ = gibbs_log_weights(system, beta0)
-    rules = [("certification: column-sum deviation <= tol", SUM_TOL, _column_sum_rule(raw)),
-             ("certification: fixed-point ratio max |rho - 1| <= tol", FIXED_POINT_TOL,
-              _fixed_point_rule(raw, log_p0)),
-             ("certification: entries nonnegative", 0.0, _sign_rule(raw))]
-    reports = [InequalityReport(label, lhs, rhs, rhs - lhs, failure is None)
-               for label, rhs, (lhs, failure) in rules]
+    rho = _fixed_point_ratio(raw, gibbs_log_weights(system, beta0)[0], float(beta0))
+    reports = [_column_sum_rule(raw)[0], _fixed_point_rule(rho)[0], _sign_rule(raw)[0]]
     certified = all(r.holds for r in reports)
     return reports, GibbsMatrix(TransitionMatrix(raw), system, beta0) if certified else None
 

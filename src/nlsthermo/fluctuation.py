@@ -40,7 +40,6 @@ from .core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
-    _fixed_point_ratio,
     _weights_of,
     entropy,
     gibbs_log_weights,
@@ -291,9 +290,9 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J double sum
     sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly p @ rho with
     rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every beta the line
-    certifies what the fixed-point rule implies.  rho and log p0 are the
-    log-space values certification reads, so log q0 = log rho + log p0 and
-    both KL sides stay exact where p0 is subnormal or underflows.  The
+    certifies what the fixed-point rule implies.  rho and log p0 come from
+    the certified table ``G.rho``, ``G.log_p0``, so log q0 = log rho + log p0
+    and both KL sides stay exact where p0 is subnormal or underflows.  The
     general J value with ptilde = q is sum_m q_m (T p0)_m / q0_m, the sum of
     q over the support rho > 0: one up to the rounding of that sum.
     :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
@@ -306,10 +305,8 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
     energies, log_d = system.energies, np.log(system.degeneracy_weights())
     dq, ds = np.empty(size), np.empty(size)
     if identities:
-        log_p0, _ = gibbs_log_weights(system, G.beta0)
-        rho = _fixed_point_ratio(t_entries, log_p0)  # certified: finite, near 1
-        support = rho > 0.0
-        log_q0 = np.log(np.where(support, rho, 1.0)) + log_p0
+        support = G.rho > 0.0  # certified: rho finite, near 1
+        log_q0 = np.log(np.where(support, G.rho, 1.0)) + G.log_p0
         positive = np.empty(size, dtype=bool)
         j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(4))
     for lo in range(0, size, BLOCK_ROWS):
@@ -322,12 +319,12 @@ def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
         ds[rows] = _row_kl(p, log_d) - _row_kl(q, log_d)
         if not identities:
             continue
-        j_heat[rows] = p @ rho
+        j_heat[rows] = p @ G.rho
         block_positive = p.min(axis=1) > 0.0
         positive[rows] = block_positive
         j_general[rows] = np.where(block_positive, q @ support, np.nan)
         kl_after[rows] = np.where(block_positive, _row_kl(q, log_q0), np.nan)
-        kl_before[rows] = np.where(block_positive, _row_kl(p, log_p0), np.nan)
+        kl_before[rows] = np.where(block_positive, _row_kl(p, G.log_p0), np.nan)
     extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
     return GridPass(G.beta0, betas, dq, ds, *extras)
 

@@ -209,18 +209,21 @@ def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
 # cumulant expansion of the heat at the fixed point
 # ---------------------------------------------------------------------------
 
-def cumulant_deviation(G: GibbsMatrix, t: float) -> float:
+def cumulant_deviation(G: GibbsMatrix, t):
     """|log <exp(t dQ)> - (k1 t + k2 t^2 / 2)| at beta = beta0.
 
     The remainder is third order in t, and k1 vanishes at the fixed point up
-    to rounding.
+    to rounding.  An array of t gives its scalar values bit for bit, from
+    one heat table.
     """
-    t = float(t)
-    if abs(t) > 0.1:
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 0.1):
         raise InvalidInputError("cumulant check is meant for |t| <= 0.1")
     joint, dq, k1, k2 = _heat_cumulants(G)
-    generating = math.log(_expectation_sum(joint, np.exp(t * dq)))
-    return abs(generating - (k1 * t + 0.5 * k2 * t * t))
+    generating = np.reshape([math.log(_expectation_sum(joint, np.exp(s * dq)))
+                             for s in t.flat], t.shape)
+    deviation = np.abs(generating - (k1 * t + 0.5 * k2 * t * t))
+    return float(deviation) if t.ndim == 0 else deviation
 
 
 def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
@@ -229,8 +232,8 @@ def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
     # two-sided max per |t|: the odd and even parts of the remainder add in
     # magnitude on one of the two sides, so no cancellation can distort the fit
     t_grid = (0.1, 0.05, 0.025)
-    residuals = [max(cumulant_deviation(G, t), cumulant_deviation(G, -t))
-                 for t in t_grid]
+    deviations = cumulant_deviation(G, [s * t for t in t_grid for s in (1.0, -1.0)]).tolist()
+    residuals = [max(plus, minus) for plus, minus in zip(deviations[::2], deviations[1::2])]
     if max(residuals) <= CUMULANT_FLOOR:
         return [compare("cumulant truncation: residuals at rounding floor",
                         max(residuals), CUMULANT_FLOOR)]

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from nlsthermo import core, response
 from nlsthermo.cli import main
 from nlsthermo.core import EvaluationError, InvalidInputError
 
@@ -482,6 +483,45 @@ class TestSubnormalFixedPoint:
         assert "clausius" not in captured.err
         assert "Warning" not in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestFixedPointTable:
+    """Each verify forms rho and the fixed-point heat table twice, and a
+    level whose log Gibbs weight at beta0 is -inf stops verify and sweep."""
+
+    def test_verify_forms_rho_twice_and_the_heat_table_twice(self, monkeypatch, capsys):
+        """Once for the certification line and once in the constructor; once
+        for the slope suite and once for the cumulant suite."""
+        calls = []
+        for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_cumulants")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        assert run_cli("verify", "--example", "spin1") == 0
+        assert sorted(calls) == ["_fixed_point_ratio"] * 2 + ["_heat_cumulants"] * 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_minus_inf_log_weight_exits_one_naming_the_level(self, tmp_path, capsys,
+                                                            command):
+        """log p0_1 = -1e310 at beta0 = 1e10: verify once wrote NaN lines."""
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"energies": [0.0, 1e300], "degeneracies": [1, 1],
+                                    "transition": [[1.0, 0.0], [0.0, 1.0]],
+                                    "beta0": 1e10}))
+        assert run_cli(command, "--input", str(path), "--beta-min=0", "--beta-max=1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the Gibbs log weight of level m=1 leaves the "
+                                "double range at beta0=10000000000.0\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gap", [735.0, 740.0])
+    def test_sweep_names_the_level_of_the_broken_fixed_point(self, tmp_path, capsys, gap):
+        path = write_instance(tmp_path, [0.0, gap], [[1.0 - 1e-11, 0.0], [1e-11, 1.0]])
+        assert run_cli("sweep", "--input", path) == 1
+        assert capsys.readouterr().err.endswith(
+            " at level m=1 exceeds 1e-10 at beta0=1.0\n")
 
 
 class TestExitContract:

@@ -33,10 +33,11 @@ from nlsthermo.core import (
     mean_energy,
     propagate,
     save_instance,
+    _fixed_point_ratio,
     two_point_distribution,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
-from nlsthermo.spinboson import spin1_level_system
+from nlsthermo.spinboson import spin1_gibbs_matrix, spin1_level_system
 
 
 def uniform_system(n):
@@ -482,6 +483,48 @@ class TestCertification:
         assert G is None
         assert not reports[0].holds
         assert reports[0].lhs == pytest.approx(1e-3, rel=1e-2)
+
+    @pytest.mark.parametrize("build", [lambda: random_gibbs_instance(3, 0),
+                                       lambda: random_gibbs_instance(8, 0),
+                                       lambda: random_gibbs_instance(32, 1),
+                                       lambda: spin1_gibbs_matrix(0.01),
+                                       lambda: spin1_gibbs_matrix(1.0)])
+    def test_fixed_point_table_is_read_only_and_bit_identical(self, build):
+        G = build()
+        log_p0, _ = gibbs_log_weights(G.system, G.beta0)
+        assert G.log_p0.tolist() == log_p0.tolist()
+        assert G.rho.tolist() == _fixed_point_ratio(G.matrix.entries, log_p0, G.beta0).tolist()
+        assert G.fixed_point.weights.tolist() == \
+            make_gibbs_state(G.system, G.beta0).weights.tolist()
+        for table in (G.log_p0, G.rho):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        with pytest.raises(AttributeError):
+            G.rho = np.ones(G.size)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_minus_inf_log_weight_raises_naming_the_level(self):
+        """log p0_1 = -1e310 at beta0 = 1e10: rho_1 would be -inf - -inf = NaN."""
+        system = LevelSystem([0.0, 1e300], [1, 1])
+        message = (r"^the Gibbs log weight of level m=1 leaves the double range "
+                   r"at beta0=10000000000\.0$")
+        with pytest.raises(EvaluationError, match=message):
+            certify_gibbs_matrix(np.eye(2), system, 1e10)
+        with pytest.raises(EvaluationError, match=message):
+            GibbsMatrix(TransitionMatrix(np.eye(2)), system, 1e10)
+
+    @pytest.mark.parametrize("raw, line", [
+        ([[1.001, 0.0], [0.0, 1.0]], 0),
+        ([[0.5, 0.5], [0.5, 0.5]], 1),
+        ([[1.0 + 1e-11, 0.0], [-1e-11, 1.0]], 2),
+    ])
+    def test_each_rule_error_opens_with_its_report_label(self, raw, line):
+        system = LevelSystem([0.0, 1.0], [1, 1])
+        reports, _ = certify_gibbs_matrix(raw, system, 1.0)
+        assert [r.holds for r in reports].index(False) == line
+        with pytest.raises(CertificationError) as err:
+            GibbsMatrix(TransitionMatrix(raw), system, 1.0)
+        assert str(err.value).startswith(f"{reports[line].label} fails: ")
 
     def test_accepts_transition_matrix_objects(self):
         inst = random_gibbs_instance(3, 5)

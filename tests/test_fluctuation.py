@@ -17,7 +17,6 @@ from nlsthermo.core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
-    _fixed_point_ratio,
     certify_gibbs_matrix,
     entropy,
     gibbs_log_weights,
@@ -561,7 +560,7 @@ class TestRelativeFixedPoint:
         grid = grid_pass(G, betas, identities=True)
         heat, _ = jequation_suite(grid)
         assert heat.holds
-        rho = _fixed_point_ratio(G.matrix.entries, gibbs_log_weights(system, beta0)[0])
+        rho = G.rho
         p = np.exp(gibbs_log_weights(system, betas)[0])
         p /= p.sum(axis=1, keepdims=True)
         q = np.clip(p @ G.matrix.entries.T, 0.0, 1.0)

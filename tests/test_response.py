@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from nlsthermo import response
 from nlsthermo.core import (
     EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
+    _expectation_sum,
     make_gibbs_state,
 )
 from nlsthermo.fluctuation import heat_and_entropy_change
@@ -216,6 +218,42 @@ class TestCumulantTruncation:
         residuals = [cumulant_deviation(G, t) for t in ts]
         exponent = np.polyfit(np.log(np.abs(ts)), np.log(residuals), 1)[0]
         assert exponent >= 2.5
+
+
+class TestBatchedCumulantDeviation:
+    """An array of t gives the scalar values bit for bit, and the suite builds
+    the fixed-point heat table once."""
+
+    TS = (0.1, -0.1, 0.05, -0.05, 0.025, -0.025, 0.0, 0.0731, -0.0137)
+
+    @pytest.mark.parametrize("build", [lambda: random_gibbs_instance(3, 0),
+                                       lambda: random_gibbs_instance(8, 0),
+                                       lambda: random_gibbs_instance(32, 1),
+                                       lambda: spin1_gibbs_matrix(0.01),
+                                       lambda: spin1_gibbs_matrix(1.0)])
+    def test_batch_equals_the_scalar_calls_bit_for_bit(self, build):
+        G = build()
+        batch = cumulant_deviation(G, np.array(self.TS))
+        scalars = [cumulant_deviation(G, t) for t in self.TS]
+        assert batch.shape == (len(self.TS),)
+        assert batch.tolist() == scalars
+        # the scalar value is the plain formula: one masked sum, one math.log
+        joint, dq, k1, k2 = response._heat_cumulants(G)
+        assert scalars == [abs(math.log(_expectation_sum(joint, np.exp(t * dq)))
+                               - (k1 * t + 0.5 * k2 * t * t)) for t in self.TS]
+
+    def test_any_large_t_in_a_batch_is_rejected(self):
+        with pytest.raises(InvalidInputError):
+            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.05, -0.2])
+
+    def test_suite_builds_the_heat_table_once(self, monkeypatch):
+        calls = []
+        heat_cumulants = response._heat_cumulants
+        monkeypatch.setattr(response, "_heat_cumulants",
+                            lambda G: calls.append(G) or heat_cumulants(G))
+        G = random_gibbs_instance(8, 0)
+        cumulant_suite(G)
+        assert calls == [G]
 
 
 class TestNewtonCooling:

@@ -65,7 +65,8 @@ def sweep_records(G, betas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _resolve_source(args):
-    """Build (system, raw matrix, beta0, descriptor) from the source flags."""
+    """(system, raw matrix, beta0, G, descriptor) from the source flags; ``G``,
+    certified once, at generation, is handed through for ``--random``, else None."""
     if sum(source is not None for source in (args.input, args.random, args.example)) != 1:
         raise InvalidInputError(
             "exactly one instance source is required: --input PATH, "
@@ -76,17 +77,15 @@ def _resolve_source(args):
     if args.seed is not None and args.random is None:
         raise InvalidInputError("--seed applies only to --random")
     if args.input is not None:
-        system, raw, beta0 = load_instance(args.input)
-        descriptor = {"source": "file", "path": str(args.input)}
-        return system, raw, beta0, descriptor
+        return *load_instance(args.input), None, {"source": "file", "path": str(args.input)}
     if args.random is not None:
         seed = 0 if args.seed is None else args.seed
         G = random_gibbs_instance(args.random, seed)
         descriptor = {"source": "random", "n": args.random, "seed": seed}
-        return G.system, G.matrix.entries, G.beta0, descriptor
+        return G.system, G.matrix.entries, G.beta0, G, descriptor
     beta0 = 1.0 if args.beta0 is None else args.beta0
     descriptor = {"source": "example", "name": "spin1", "beta0": beta0}
-    return spin1_level_system(), analytic_entries(beta0), beta0, descriptor
+    return spin1_level_system(), analytic_entries(beta0), beta0, None, descriptor
 
 
 def _beta_grid(args, beta0: float) -> np.ndarray:
@@ -110,29 +109,13 @@ def _write_text(text: str, out) -> None:
             fh.write(text)
 
 
-def _run_verify(system, raw, beta0, betas, suites):
-    checks, G = certify_gibbs_matrix(raw, system, beta0)
-    if G is not None:
-        if "jequation" in suites or "inequalities" in suites:
-            grid = grid_pass(G, betas, identities=True)
-        if "jequation" in suites:
-            checks += jequation_suite(grid)
-        if "inequalities" in suites:
-            checks += inequality_suite(grid)
-        if "slopes" in suites:
-            checks += slope_suite(G)
-        if "cumulant" in suites:
-            checks += cumulant_suite(G)
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    system, raw, beta0, _ = _resolve_source(args)
-    G = GibbsMatrix(TransitionMatrix(raw), system, beta0)
+    system, raw, beta0, G, _ = _resolve_source(args)
+    G = GibbsMatrix(TransitionMatrix(raw), system, beta0) if G is None else G
     rows = sweep_records(G, _beta_grid(args, beta0)).tolist()
     columns = ("beta", "beta_dQ", "beta0_dQ", "dS")
     if args.json:
@@ -145,11 +128,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system, raw, beta0, descriptor = _resolve_source(args)
+    system, raw, beta0, G, descriptor = _resolve_source(args)
     suites = tuple(args.suite) if args.suite else SUITES
     betas = _beta_grid(args, beta0)
     start = time.perf_counter()
-    checks = _run_verify(system, raw, beta0, betas, suites)
+    checks, G = (certify_gibbs_matrix(raw, system, beta0) if G is None
+                 else (list(G.certification), G))
+    if G is not None:
+        if "jequation" in suites or "inequalities" in suites:
+            grid = grid_pass(G, betas, identities=True)
+        if "jequation" in suites:
+            checks += jequation_suite(grid)
+        if "inequalities" in suites:
+            checks += inequality_suite(grid)
+        if "slopes" in suites:
+            checks += slope_suite(G)
+        if "cumulant" in suites:
+            checks += cumulant_suite(G)
     elapsed = time.perf_counter() - start
     overall = all(c.holds for c in checks)
     report = {

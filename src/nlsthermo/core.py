@@ -14,13 +14,13 @@ The conventions used throughout the package:
 * A "Gibbs matrix" is a left stochastic matrix that holds the Gibbs state at
   the bath inverse temperature ``beta0`` fixed, the only structural
   assumption the inequality checks in :mod:`nlsthermo.fluctuation` rely on.
-  Its rules live here only, and :func:`certify_gibbs_matrix` reports them.
-  The fixed point is certified relatively: rho = T p0 / p0, formed in log
-  space, has max |rho - 1| <= ``FIXED_POINT_TOL`` (so max |T p0 - p0| <= tol
-  too, as p0 <= 1).  At every beta that gives |J_heat - 1| <= max |rho - 1|
-  and, by KL contraction, <dS> - beta0 <dQ> =
-  S(p || p0) - S(q || T p0) - sum_m q_m log rho_m >= -log(1 + tol).
-  A :class:`GibbsMatrix` keeps log p0 and rho: the grid reads that table.
+  Its rules live here only.  The fixed point is certified relatively:
+  rho = T p0 / p0, one dense sum in log space, has max |rho - 1| <=
+  ``FIXED_POINT_TOL`` (so max |T p0 - p0| <= tol too, as p0 <= 1).  At every
+  beta that gives |J_heat - 1| <= max |rho - 1| and, by KL contraction,
+  <dS> - beta0 <dQ> = S(p || p0) - S(q || T p0) - sum_m q_m log rho_m
+  >= -log(1 + tol).  A :class:`GibbsMatrix` is certified once, by its
+  constructor, and keeps the lines and the table (log p0, rho) the grid reads.
 
 All values here are immutable after construction and all operations are pure
 functions, so everything is safe to share between threads.
@@ -185,29 +185,29 @@ class TransitionMatrix:
 class GibbsMatrix:
     """A transition matrix certified to fix the Gibbs state at ``beta0``.
 
-    Construction forms the read-only fixed-point table ``log_p0`` and
-    ``rho`` = T p0 / p0 and raises :class:`CertificationError`, naming the
-    level, when ``max |rho - 1|`` is above ``FIXED_POINT_TOL``.
+    Construction certifies once, keeping the report lines of
+    :func:`certify_gibbs_matrix` as ``certification`` and the table ``log_p0``,
+    ``rho`` = T p0 / p0, all read-only; it raises :class:`CertificationError`,
+    naming the level, when ``max |rho - 1|`` is above ``FIXED_POINT_TOL``.
     """
 
     matrix: TransitionMatrix
     system: LevelSystem
     beta0: float
     fixed_point: ProbabilityVector = field(init=False, repr=False)
+    certification: tuple[InequalityReport, ...] = field(init=False, repr=False)
     log_p0: np.ndarray = field(init=False, repr=False)
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta0", float(self.beta0))
-        if self.matrix.size != self.system.size:
-            raise InvalidInputError("matrix and level system sizes differ")
-        log_p0, _ = gibbs_log_weights(self.system, self.beta0)
-        rho = _fixed_point_ratio(self.matrix.entries, log_p0, self.beta0)
-        _, failure = _fixed_point_rule(rho)
+        rules, log_p0, rho = _certification(self.matrix.entries, self.system, self.beta0)
+        _, failure = rules[1]  # the transition matrix holds the other two
         if failure is not None:
             raise CertificationError(f"{failure} at beta0={self.beta0!r}")
         w = np.exp(log_p0)
         object.__setattr__(self, "fixed_point", ProbabilityVector(w / w.sum()))
+        object.__setattr__(self, "certification", tuple(line for line, _ in rules))
         object.__setattr__(self, "log_p0", _freeze(log_p0))
         object.__setattr__(self, "rho", _freeze(rho))
 
@@ -394,13 +394,6 @@ def delta_q_table(system: LevelSystem) -> np.ndarray:
     return _freeze(e[:, None] - e[None, :])
 
 
-def _log_weight_ratio(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    out = np.full(w.shape, -np.inf)
-    mask = w > 0.0
-    out[mask] = np.log(w[mask] / d[mask])
-    return out
-
-
 def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
     """Entropy-increase table dS[m, n] = log(p_n / d_n) - log(q_m / d_m).
 
@@ -416,8 +409,8 @@ def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
     Its mean over the matching two-point distribution is S(q) - S(p).
     """
     d = system.degeneracy_weights()
-    lp = _log_weight_ratio(_weights_of(p), d)
-    lq = _log_weight_ratio(_weights_of(q), d)
+    lp, lq = (np.log(w / d, out=np.full(w.shape, -np.inf), where=w > 0.0)
+              for w in (_weights_of(p), _weights_of(q)))
     # a column with p_n = 0 stays -inf, skipping -inf - (-inf) where q_m = 0 too
     table = np.full((lq.shape[0], lp.shape[0]), -np.inf)
     np.subtract(lp[None, :], lq[:, None], out=table, where=np.isfinite(lp)[None, :])
@@ -464,25 +457,34 @@ def _sign_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
 
 
 def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray, beta0: float) -> np.ndarray:
-    """rho_m = (t p0)_m / p0_m, the sum of exp(log t[m,n] + log p0_n - log p0_m)
-    over t[m,n] > 0: exact where p0 underflows, inf on overflow.  A log
-    weight of -inf raises :class:`EvaluationError` naming its level."""
+    """rho_m = (t p0)_m / p0_m, the dense sum of exp(log t[m,n] + log p0_n -
+    log p0_m) over n, where an entry <= 0 adds exactly 0: exact where p0
+    underflows, inf on overflow.  A log weight of -inf raises
+    :class:`EvaluationError` naming its level."""
     if np.isneginf(log_p0).any():
         raise EvaluationError(f"the Gibbs log weight of level m={int(np.argmin(log_p0))} "
                               f"leaves the double range at beta0={beta0!r}")
-    rows, cols = np.nonzero(t > 0.0)
+    terms = np.log(t, out=np.full(t.shape, -np.inf), where=t > 0.0)
+    terms += log_p0[None, :]  # in place: one N x N buffer
+    terms -= log_p0[:, None]
     with np.errstate(over="ignore"):
-        terms = np.exp(np.log(t[rows, cols]) + log_p0[cols] - log_p0[rows])
-    return np.bincount(rows, weights=terms, minlength=t.shape[0])
+        return np.exp(terms, out=terms).sum(axis=1)
 
 
-def _fixed_point_rule(rho: np.ndarray) -> tuple[InequalityReport, str | None]:
-    """max |rho - 1| <= ``FIXED_POINT_TOL``."""
+def _certification(t: np.ndarray, system: LevelSystem, beta0: float):
+    """The one certification of square finite matrix ``t``: each rule's
+    (line, error or None) in report order (column sum, fixed point with
+    max |rho - 1| <= ``FIXED_POINT_TOL``, sign), and the table (log p0, rho)."""
+    if t.shape[0] != system.size:
+        raise InvalidInputError("matrix and level system sizes differ")
+    log_p0, _ = gibbs_log_weights(system, beta0)
+    rho = _fixed_point_ratio(t, log_p0, beta0)
     m = int(np.argmax(np.abs(rho - 1.0)))
     worst = abs(float(rho[m]) - 1.0)
-    return _rule_line("certification: fixed-point ratio max |rho - 1| <= tol",
-                      worst, FIXED_POINT_TOL,
-                      f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
+    fixed_point = _rule_line(
+        "certification: fixed-point ratio max |rho - 1| <= tol", worst, FIXED_POINT_TOL,
+        f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
+    return (_column_sum_rule(t), fixed_point, _sign_rule(t)), log_p0, rho
 
 
 def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
@@ -490,14 +492,15 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
     """A report line per rule of the Gibbs-matrix constructors, its value as
     ``lhs`` against its bound as ``rhs`` and ``holds`` with no slack; a broken
     rule lands in its line instead of raising.  Then the Gibbs matrix if
-    every line holds, else ``None``.  ``matrix`` may be a bare array."""
-    raw = _square_finite(matrix.entries if isinstance(matrix, TransitionMatrix) else matrix)
-    if raw.shape[0] != system.size:
-        raise InvalidInputError("matrix and level system sizes differ")
-    rho = _fixed_point_ratio(raw, gibbs_log_weights(system, beta0)[0], float(beta0))
-    reports = [_column_sum_rule(raw)[0], _fixed_point_rule(rho)[0], _sign_rule(raw)[0]]
-    certified = all(r.holds for r in reports)
-    return reports, GibbsMatrix(TransitionMatrix(raw), system, beta0) if certified else None
+    every line holds, else ``None``.  ``matrix`` may be a bare array.  The
+    lines of a matrix that constructs are its ``G.certification``."""
+    given = isinstance(matrix, TransitionMatrix)
+    try:
+        G = GibbsMatrix(matrix if given else TransitionMatrix(matrix), system, beta0)
+    except CertificationError:
+        raw = _square_finite(matrix.entries if given else matrix)
+        return [line for line, _ in _certification(raw, system, float(beta0))[0]], None
+    return list(G.certification), G
 
 
 # ---------------------------------------------------------------------------

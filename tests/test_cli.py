@@ -486,19 +486,31 @@ class TestSubnormalFixedPoint:
 
 
 class TestFixedPointTable:
-    """Each verify forms rho and the fixed-point heat table twice, and a
-    level whose log Gibbs weight at beta0 is -inf stops verify and sweep."""
+    """Each verify or sweep forms rho once, and each verify the fixed-point
+    heat table twice; a level whose log Gibbs weight at beta0 is -inf stops
+    verify and sweep."""
 
-    def test_verify_forms_rho_twice_and_the_heat_table_twice(self, monkeypatch, capsys):
-        """Once for the certification line and once in the constructor; once
-        for the slope suite and once for the cumulant suite."""
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--example", "spin1"),
+        ("verify", "--random", "8"),
+        ("verify", "--input", "{gen6}"),
+        ("sweep", "--random", "8"),
+        ("sweep", "--example", "spin1"),
+    ], ids=["verify-example", "verify-random", "verify-input", "sweep-random",
+            "sweep-example"])
+    def test_each_command_forms_rho_once(self, argv, tmp_path, monkeypatch, capsys):
+        """rho once, in the constructor (for --random, at generation); the
+        heat table once for the slope suite and once for the cumulant suite."""
+        gen6 = str(tmp_path / "gen6.json")
+        assert run_cli("gen", "6", "--out", gen6) == 0
         calls = []
         for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_cumulants")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
                                 calls.append(_name) or _original(*args))
-        assert run_cli("verify", "--example", "spin1") == 0
-        assert sorted(calls) == ["_fixed_point_ratio"] * 2 + ["_heat_cumulants"] * 2
+        assert run_cli(*(arg.format(gen6=gen6) for arg in argv)) == 0
+        heat_tables = 2 if argv[0] == "verify" else 0
+        assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_cumulants"] * heat_tables
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -1,5 +1,6 @@
 """Core types, Gibbs states, propagation, expectations, entropies, divergences."""
 
+import functools
 import json
 import math
 import warnings
@@ -38,6 +39,9 @@ from nlsthermo.core import (
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.spinboson import spin1_gibbs_matrix, spin1_level_system
+
+
+EPS = np.finfo(float).eps
 
 
 def uniform_system(n):
@@ -532,6 +536,105 @@ class TestCertification:
         assert G is not None
         assert reports[1].lhs <= 1e-12
         np.testing.assert_array_equal(G.matrix.entries, inst.matrix.entries)
+
+    def test_certification_lines_ride_on_the_matrix(self):
+        """A certified matrix keeps its three lines, read-only, and
+        certify_gibbs_matrix hands back exactly those."""
+        G = random_gibbs_instance(8, 0)
+        reports, certified = certify_gibbs_matrix(G.matrix.entries, G.system, G.beta0)
+        assert isinstance(G.certification, tuple)
+        assert list(certified.certification) == reports == list(G.certification)
+        assert all(r.holds for r in G.certification)
+        with pytest.raises(AttributeError):
+            G.certification = ()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_entry_gives_the_finite_fixed_point_line(self):
+        """The negative entry adds exactly 0 to rho: a finite line, its value
+        pinned bit for bit, and no warning."""
+        raw = [[1.0 + 1e-11, 0.0], [-1e-11, 1.0]]
+        reports, G = certify_gibbs_matrix(raw, LevelSystem([0.0, 1.0], [1, 1]), 1.0)
+        assert G is None
+        assert reports[1].lhs == float.fromhex("0x1.5fd8p-37")
+        assert reports[1].holds and not reports[2].holds
+
+
+def gathered_terms(t, log_p0):
+    """The terms of rho over t > 0 only, gathered by index in row order."""
+    rows, cols = np.nonzero(t > 0.0)
+    with np.errstate(over="ignore"):
+        return rows, np.exp(np.log(t[rows, cols]) + log_p0[cols] - log_p0[rows])
+
+
+def gathered_fixed_point_ratio(t, log_p0):
+    """The sparse reference form of rho: the gathered terms summed per row in
+    index order."""
+    rows, terms = gathered_terms(t, log_p0)
+    return np.bincount(rows, weights=terms, minlength=t.shape[0])
+
+
+def exact_fixed_point_ratio(t, log_p0):
+    """The gathered terms of each row summed exactly (math.fsum)."""
+    rows, terms = gathered_terms(t, log_p0)
+    bounds = np.searchsorted(rows, np.arange(t.shape[0] + 1))
+    return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def bordered_instance(n, seed):
+    """(t, system): columns of 1 - uniform entries, normalized, and the
+    stationary state of one bordered solve as the Gibbs state at beta0 = 1."""
+    t = 1.0 - np.random.default_rng(seed).uniform(size=(n, n))
+    t /= t.sum(axis=0)
+    bordered = t - np.eye(n)
+    bordered[-1, :] = 1.0
+    p = np.linalg.solve(bordered, np.eye(n)[-1])
+    return t, LevelSystem(-np.log(p / p.sum()), np.ones(n, dtype=np.int64))
+
+
+@functools.cache
+def fixed_point_cases():
+    """(name, t, system, beta0): random instances, spin-1, detailed-balance
+    matrices with exact zeros, and one N = 1000 matrix."""
+    cases = []
+    for n in (3, 8, 32, 96):
+        for seed in range(4):
+            G = random_gibbs_instance(n, seed)
+            cases.append((f"random-{n}-{seed}", G.matrix.entries, G.system, G.beta0))
+    for beta0 in np.geomspace(1e-6, 10.0, 20):
+        G = spin1_gibbs_matrix(float(beta0))
+        cases.append((f"spin1-{beta0:.3g}", G.matrix.entries, G.system, G.beta0))
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 8, 13):
+        system = LevelSystem(rng.uniform(-2.0, 2.0, size=n), rng.integers(1, 3, size=n))
+        beta0 = float(rng.uniform(0.2, 2.0))
+        cases.append((f"zeros-{n}", detailed_balance_matrix(system, beta0, rng)[0],
+                      system, beta0))
+    cases.append(("bordered-1000", *bordered_instance(1000, 0), 1.0))
+    assert sum(np.count_nonzero(t == 0.0) > 0 for _, t, _, _ in cases) >= 5
+    return cases
+
+
+class TestDenseFixedPointRatio:
+    """The dense log-space rho against the gathered form it replaced and
+    against the exact sum of the same terms, within 4 eps max rho."""
+
+    def test_agrees_with_the_gathered_form(self):
+        # at N = 1000 the gathered form's index-order sum is itself about
+        # 10 eps off the exact sum, so that case is held to the exact sum only
+        for name, t, system, beta0 in fixed_point_cases():
+            if t.shape[0] > 96:
+                continue
+            log_p0, _ = gibbs_log_weights(system, beta0)
+            dense = _fixed_point_ratio(t, log_p0, beta0)
+            gathered = gathered_fixed_point_ratio(t, log_p0)
+            assert np.abs(dense - gathered).max() <= 4 * EPS * gathered.max(), name
+
+    def test_agrees_with_the_exact_sum(self):
+        for name, t, system, beta0 in fixed_point_cases():
+            log_p0, _ = gibbs_log_weights(system, beta0)
+            dense = _fixed_point_ratio(t, log_p0, beta0)
+            exact = exact_fixed_point_ratio(t, log_p0)
+            assert np.abs(dense - exact).max() <= 4 * EPS * exact.max(), name
 
 
 def detailed_balance_matrix(system, beta0, rng):

@@ -30,13 +30,24 @@ def test_every_traced_name_resolves(spans):
 def test_traced_verify_runs_and_records_certification(spans, tmp_path):
     out = tmp_path / "report.json"
     with spans.Tracer() as tracer:
-        code = tracer.run_op(0, main, ["verify", "--random", "3", "--steps", "21",
+        code = tracer.run_op(0, main, ["verify", "--example", "spin1", "--steps", "21",
                                        "--out", str(out)])
     assert code == 0
     layers = tracer.layers()
     assert layers["core.certify_gibbs_matrix.calls"] == 1
     assert layers["core.GibbsMatrix.calls"] >= 1
     assert layers["core.GibbsMatrix.failed"] == 0
+
+
+def test_traced_verify_random_certifies_once_at_generation(spans, tmp_path):
+    out = tmp_path / "report.json"
+    with spans.Tracer() as tracer:
+        code = tracer.run_op(0, main, ["verify", "--random", "3", "--steps", "21",
+                                       "--out", str(out)])
+    assert code == 0
+    layers = tracer.layers()
+    assert layers["core.GibbsMatrix.calls"] == 1
+    assert layers["core.certify_gibbs_matrix.calls"] == 0
 
 
 def test_traced_sweep_runs_and_records_its_records(spans, tmp_path):

@@ -92,11 +92,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """A C-ordered float copy of ``values``; a ragged or non-numeric input
+    raises :class:`InvalidInputError` naming ``name``."""
+    try:
+        return np.array(values, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must be an array of numbers: {exc}") from exc
+
+
 def _weights_of(p) -> np.ndarray:
     """Accept a ProbabilityVector or a bare weight array."""
     if isinstance(p, ProbabilityVector):
         return p.weights
-    return np.asarray(p, dtype=float)
+    return _float_array(p, "distribution")
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +125,8 @@ class LevelSystem:
 
     def __post_init__(self):
         # copy so freezing never hijacks a caller-owned array
-        e = np.array(self.energies, dtype=float)
-        d = np.array(self.degeneracies, dtype=float)
+        e = _float_array(self.energies, "energies")
+        d = _float_array(self.degeneracies, "degeneracies")
         if e.ndim != 1 or d.ndim != 1 or e.shape != d.shape:
             raise InvalidInputError(
                 "energies and degeneracies must be 1-D sequences of equal length")
@@ -145,7 +154,7 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _float_array(self.weights, "weights")
         if w.ndim != 1 or w.shape[0] < 1:
             raise InvalidInputError("weights must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(w)):
@@ -229,7 +238,7 @@ class TwoPointDistribution:
     final: ProbabilityVector
 
     def __post_init__(self):
-        j = np.array(self.joint, dtype=float, order="C")
+        j = _float_array(self.joint, "joint")
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise InvalidInputError("joint must be a square matrix")
         if j.shape[0] != self.initial.size or j.shape[0] != self.final.size:
@@ -311,7 +320,7 @@ def propagate(T: TransitionMatrix, p: ProbabilityVector) -> ProbabilityVector:
 def two_point_distribution(T: TransitionMatrix, p: ProbabilityVector) -> TwoPointDistribution:
     """Joint distribution of the sequential measurement pair under ``T``."""
     if not isinstance(p, ProbabilityVector):
-        p = ProbabilityVector(np.asarray(p, dtype=float))
+        p = ProbabilityVector(p)
     q = propagate(T, p)
     joint = T.entries * p.weights[None, :]
     return TwoPointDistribution(joint=joint, initial=p, final=q)
@@ -423,7 +432,7 @@ def delta_s_table(system: LevelSystem, p, q) -> np.ndarray:
 
 def _square_finite(entries) -> np.ndarray:
     """A C-ordered float copy of a square, at least 2x2, finite matrix."""
-    t = np.array(entries, dtype=float, order="C")
+    t = _float_array(entries, "transition matrix entries")
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
         raise InvalidInputError("transition matrix must be square and at least 2x2")
     if not np.all(np.isfinite(t)):

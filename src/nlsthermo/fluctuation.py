@@ -22,7 +22,11 @@ maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
 :func:`grid_pass` evaluates the per-point quantities over a whole beta grid
 as arrays, a block of beta rows at a time; the suites :func:`jequation_suite`
-and :func:`inequality_suite` reduce its arrays to worst-case reports.
+and :func:`inequality_suite` reduce its arrays to worst-case reports.  It is
+the one evaluator of a Gibbs matrix's per-beta values (the finite-difference
+slopes and the entropy argmax read its rows too); the scalar per-beta
+functions (:func:`heat_and_entropy_change`, :func:`j_heat_expectation`,
+:func:`clausius_bounds`, ...) stay public as its reference.
 """
 
 from __future__ import annotations

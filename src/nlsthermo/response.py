@@ -7,13 +7,17 @@ slope ``a`` is computed here along four independent routes:
 * ``slope_symmetrized``: the manifestly nonnegative quadratic form
   (beta0/4) sum_{nm} (T[n,m] p0_m + T[m,n] p0_n)(E_m - E_n)^2;
 * ``slope_fluctuation``: (beta0/2) Var(dQ) at the fixed point;
-* ``slope_numeric``: a central finite difference of beta <dQ> (beta).
+* ``slope_numeric``: a central finite difference of beta <dQ> (beta), read
+  with that of <dS> from one :func:`~nlsthermo.fluctuation.grid_pass` over
+  beta0 +/- h, the one evaluator of a Gibbs matrix's per-beta values.
 
-The agreement of the four routes, their nonnegativity, the second-order
-truncation of the cumulant expansion, the Newton-cooling linearization
-<dQ> = -a beta0 (tau - tau0) + O(tau - tau0)^2, and the weak-coupling
-Clausius equality <dS> = beta <dE> + O(eps^2) are all exposed as measurable
-quantities so tests and verification reports can pin them down.
+:func:`slope_suite` is the one judge of the four routes: it reports, and
+never raises, their agreement, their nonnegativity and the common tangent.
+Those lines, the second-order truncation of the cumulant expansion, the
+Newton-cooling linearization <dQ> = -a beta0 (tau - tau0) + O(tau - tau0)^2,
+and the weak-coupling Clausius equality <dS> = beta <dE> + O(eps^2) are all
+exposed as measurable quantities so tests and verification reports can pin
+them down.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from .core import (
     LevelSystem,
     TransitionMatrix,
     _expectation_sum,
+    _float_array,
     delta_q_table,
 )
-from .fluctuation import _marginal_changes, compare, heat_and_entropy_change
+from .fluctuation import _marginal_changes, compare, grid_pass
 
 __all__ = [
-    "SlopeBundle",
     "PerturbationGenerator",
     "WeakCouplingFit",
     "slope_direct",
@@ -45,7 +49,6 @@ __all__ = [
     "slope_fluctuation",
     "slope_numeric",
     "entropy_slope_numeric",
-    "slope_bundle",
     "cumulant_deviation",
     "slope_suite",
     "cumulant_suite",
@@ -66,58 +69,6 @@ CUMULANT_EXPONENT = 2.5
 NUMERIC_RTOL = 1e-4
 #: slopes may undershoot zero by at most this much
 NONNEG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SlopeBundle:
-    """The tangent slope computed four ways.
-
-    Construction enforces internal agreement (closed forms pairwise within
-    ``CLOSED_FORM_RTOL`` relative, the finite difference within
-    ``NUMERIC_RTOL``) and nonnegativity down to ``-NONNEG_TOL``; a violation
-    means the inputs were not a certified Gibbs matrix or carry pathological
-    scales, and raises :class:`EvaluationError`.
-    """
-
-    direct: float
-    symmetrized: float
-    fluctuation: float
-    numeric: float
-
-    def __post_init__(self):
-        # strict: any negative slack raises, without the reports' SLACK_TOL
-        symmetrized, fluctuation, numeric, nonnegative = _slope_reports(
-            self.direct, self.symmetrized, self.fluctuation, self.numeric)
-        if nonnegative.slack < 0.0:
-            raise EvaluationError("tangent slope came out negative")
-        if symmetrized.slack < 0.0 or fluctuation.slack < 0.0:
-            raise EvaluationError("closed-form slope routes disagree")
-        if numeric.slack < 0.0:
-            raise EvaluationError("finite-difference slope disagrees with the closed forms")
-
-
-def _slope_reports(direct: float, symmetrized: float, fluctuation: float,
-                   numeric: float, entropy_numeric: float | None = None
-                   ) -> list[InequalityReport]:
-    """The slope comparisons, each tolerance applied here only: both closed
-    forms and the finite difference against ``direct``, nonnegativity, and,
-    given the finite-difference slope of <dS>, the common tangent."""
-    scale = max(1.0, abs(direct))
-    reports = [
-        compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
-                abs(direct - symmetrized), CLOSED_FORM_RTOL * scale),
-        compare("slope agreement: |direct - fluctuation| <= 1e-9 max(1, |a|)",
-                abs(direct - fluctuation), CLOSED_FORM_RTOL * scale),
-        compare("slope agreement: |direct - numeric| <= 1e-4 max(1, |a|)",
-                abs(direct - numeric), NUMERIC_RTOL * scale),
-        compare("slope nonnegativity: -min(slopes) <= 1e-10",
-                -min(direct, symmetrized, fluctuation, numeric), NONNEG_TOL),
-    ]
-    if entropy_numeric is not None:
-        reports.append(compare(
-            "common tangent: |slope(beta<dQ>) - slope(<dS>)| <= 1e-4",
-            abs(numeric - entropy_numeric), NUMERIC_RTOL))
-    return reports
 
 
 def slope_direct(G: GibbsMatrix) -> float:
@@ -160,17 +111,15 @@ def slope_fluctuation(G: GibbsMatrix) -> float:
 
 
 def _fd_slopes(G: GibbsMatrix, h: float | None = None) -> tuple[float, float]:
-    """Central differences of beta <dQ> and of <dS> at beta0, both from one
-    pair of evaluations at beta0 +/- h.  The step is fixed at
+    """Central differences of beta <dQ> and of <dS> at beta0, both read from
+    one :func:`grid_pass` over beta0 +/- h.  The step is fixed at
     h = 1e-4 max(1, |beta0|), which balances truncation against rounding;
     ``h`` is open only so the second-order convergence can be measured."""
     if h is None:
         h = 1e-4 * max(1.0, abs(G.beta0))
-    plus, minus = G.beta0 + h, G.beta0 - h
-    dq_plus, ds_plus = heat_and_entropy_change(G, plus)
-    dq_minus, ds_minus = heat_and_entropy_change(G, minus)
-    return ((plus * dq_plus - minus * dq_minus) / (2.0 * h),
-            (ds_plus - ds_minus) / (2.0 * h))
+    grid = grid_pass(G, [G.beta0 + h, G.beta0 - h])
+    beta_dq, ds = grid.betas * grid.dq, grid.ds
+    return float(beta_dq[0] - beta_dq[1]) / (2.0 * h), float(ds[0] - ds[1]) / (2.0 * h)
 
 
 def slope_numeric(G: GibbsMatrix) -> float:
@@ -187,22 +136,26 @@ def entropy_slope_numeric(G: GibbsMatrix) -> float:
     return _fd_slopes(G)[1]
 
 
-def slope_bundle(G: GibbsMatrix) -> SlopeBundle:
-    """All four slope routes, cross-validated on construction."""
-    return SlopeBundle(
-        direct=slope_direct(G),
-        symmetrized=slope_symmetrized(G),
-        fluctuation=slope_fluctuation(G),
-        numeric=slope_numeric(G),
-    )
-
-
 def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
-    """The slope comparisons of :class:`SlopeBundle` plus the common tangent,
-    reported rather than raised."""
-    numeric, entropy_numeric = _fd_slopes(G)
-    return _slope_reports(slope_direct(G), slope_symmetrized(G),
-                          slope_fluctuation(G), numeric, entropy_numeric)
+    """The four slope routes compared, reported rather than raised, each
+    tolerance applied here only: both closed forms and the finite difference
+    against ``direct``, relative to max(1, |a|); nonnegativity of all four;
+    and the common tangent of beta <dQ> and <dS>."""
+    direct, symmetrized = slope_direct(G), slope_symmetrized(G)
+    fluctuation, (numeric, entropy_numeric) = slope_fluctuation(G), _fd_slopes(G)
+    scale = max(1.0, abs(direct))
+    return [
+        compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
+                abs(direct - symmetrized), CLOSED_FORM_RTOL * scale),
+        compare("slope agreement: |direct - fluctuation| <= 1e-9 max(1, |a|)",
+                abs(direct - fluctuation), CLOSED_FORM_RTOL * scale),
+        compare("slope agreement: |direct - numeric| <= 1e-4 max(1, |a|)",
+                abs(direct - numeric), NUMERIC_RTOL * scale),
+        compare("slope nonnegativity: -min(slopes) <= 1e-10",
+                -min(direct, symmetrized, fluctuation, numeric), NONNEG_TOL),
+        compare("common tangent: |slope(beta<dQ>) - slope(<dS>)| <= 1e-4",
+                abs(numeric - entropy_numeric), NUMERIC_RTOL),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +219,7 @@ class PerturbationGenerator:
     t_matrix: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.t_matrix, dtype=float, order="C")
+        t = _float_array(self.t_matrix, "generator")
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidInputError("generator must be square")
         if not np.all(np.isfinite(t)):

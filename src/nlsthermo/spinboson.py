@@ -37,7 +37,7 @@ from .core import (
     LevelSystem,
     TransitionMatrix,
 )
-from .fluctuation import heat_and_entropy_change
+from .fluctuation import grid_pass
 
 __all__ = [
     "SpinBosonParams",
@@ -71,6 +71,10 @@ _ORACLE_MIN_BETA0 = 1e-6
 
 #: triplet blocks per stacked diagonalization, which keeps every array O(chunk)
 _CHUNK = 1024
+
+#: betas per bracket round of :func:`delta_s_argmax`; each round shrinks the
+#: bracket to 2 of its 32 intervals
+_ARGMAX_POINTS = 33
 
 #: smallest beta0 whose closed-form entries all evaluate: from 2^-52 down,
 #: e^{beta0/2} rounds to 1 and atanh(e^{-beta0/2}) diverges
@@ -295,29 +299,18 @@ def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
 def delta_s_argmax(beta0: float) -> float:
     """Inverse temperature in (0, beta0) maximizing |<dS>|.
 
-    Golden-section search on the magnitude of the entropy change of a Gibbs
-    initial state; returns the bracket midpoint once the bracket shrinks
-    below 1e-6.  When no interior extremum exists the search simply
-    converges to the better boundary.
+    Each round evaluates |<dS>| of a Gibbs initial state at
+    ``_ARGMAX_POINTS`` evenly spaced betas of the bracket, starting from
+    [0, beta0], in one :func:`~nlsthermo.fluctuation.grid_pass`, and keeps
+    the two neighbours of the sampled maximum as the next bracket; once the
+    bracket is below 1e-6 its midpoint is returned.  A unimodal |<dS>| keeps
+    its maximizer inside every bracket; when no interior extremum exists the
+    bracket closes on the better boundary.
     """
     G = spin1_gibbs_matrix(beta0)  # rejects a beta0 outside the closed form's range
-
-    def magnitude(beta: float) -> float:
-        return abs(heat_and_entropy_change(G, beta)[1])
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, G.beta0
-    left = hi - inv_phi * (hi - lo)
-    right = lo + inv_phi * (hi - lo)
-    f_left = magnitude(left)
-    f_right = magnitude(right)
     while hi - lo > 1e-6:
-        if f_left > f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - inv_phi * (hi - lo)
-            f_left = magnitude(left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + inv_phi * (hi - lo)
-            f_right = magnitude(right)
+        betas = np.linspace(lo, hi, _ARGMAX_POINTS)
+        i = int(np.argmax(np.abs(grid_pass(G, betas).ds)))
+        lo, hi = float(betas[max(i - 1, 0)]), float(betas[min(i + 1, _ARGMAX_POINTS - 1)])
     return 0.5 * (lo + hi)

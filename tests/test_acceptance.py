@@ -92,22 +92,17 @@ def test_criterion_04_slope_cross_validation():
     most_negative = 0.0
     for k in range(500):
         G = nt.random_gibbs_instance(2 + k % 15, 50_000 + k)
-        bundle = nt.slope_bundle(G)
-        scale = max(1.0, abs(bundle.direct))
-        worst_closed = max(worst_closed,
-                           abs(bundle.direct - bundle.symmetrized) / scale,
-                           abs(bundle.direct - bundle.fluctuation) / scale)
-        worst_numeric = max(worst_numeric,
-                            abs(bundle.direct - bundle.numeric) / scale)
-        most_negative = min(most_negative, bundle.direct, bundle.symmetrized,
-                            bundle.fluctuation, bundle.numeric)
-        gap = abs(nt.slope_numeric(G) - nt.entropy_slope_numeric(G))
-        worst_tangent = max(worst_tangent, gap)
+        symmetrized, fluctuation, numeric, nonnegative, tangent = nt.slope_suite(G)
+        scale = max(1.0, abs(nt.slope_direct(G)))
+        worst_closed = max(worst_closed, symmetrized.lhs / scale, fluctuation.lhs / scale)
+        worst_numeric = max(worst_numeric, numeric.lhs / scale)
+        most_negative = min(most_negative, -nonnegative.lhs)
+        worst_tangent = max(worst_tangent, tangent.lhs)
     assert worst_closed <= 1e-9
     assert worst_numeric <= 1e-4
     assert most_negative >= -1e-10
     assert worst_tangent <= 1e-4
-    announce(4, f"500 slope bundles: closed-form gap {worst_closed:.1e}, "
+    announce(4, f"500 slope suites: closed-form gap {worst_closed:.1e}, "
                 f"numeric gap {worst_numeric:.1e}, tangent gap {worst_tangent:.1e}")
 
 

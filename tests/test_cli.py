@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlsthermo import core, response
+from nlsthermo import cli, core, fluctuation, genrand, response, spinboson
 from nlsthermo.cli import main
 from nlsthermo.core import EvaluationError, InvalidInputError
 
@@ -534,6 +534,34 @@ class TestFixedPointTable:
         assert run_cli("sweep", "--input", path) == 1
         assert capsys.readouterr().err.endswith(
             " at level m=1 exceeds 1e-10 at beta0=1.0\n")
+
+
+class TestOneEvaluator:
+    """Every per-beta value of verify and sweep comes from grid_pass: no
+    command reaches the scalar per-beta path."""
+
+    SCALAR = ("heat_and_entropy_change", "_marginal_changes", "make_gibbs_state",
+              "propagate")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("source", [("--random", "8"), ("--input", "{gen6}"),
+                                        ("--example", "spin1")],
+                             ids=["random", "input", "example"])
+    def test_no_command_calls_the_scalar_path(self, command, source, tmp_path,
+                                              monkeypatch, capsys):
+        gen6 = str(tmp_path / "gen6.json")
+        assert run_cli("gen", "6", "--out", gen6) == 0
+        calls = []
+        for module in (core, fluctuation, response, spinboson, genrand, cli):
+            for name in self.SCALAR:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda *args, _name=name, _original=original:
+                                        calls.append(_name) or _original(*args))
+        argv = (command, *(arg.format(gen6=gen6) for arg in source))
+        assert run_cli(*argv) == 0
+        assert calls == []
 
 
 class TestExitContract:

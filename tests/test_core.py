@@ -34,6 +34,7 @@ from nlsthermo.core import (
     mean_energy,
     propagate,
     save_instance,
+    TwoPointDistribution,
     _fixed_point_ratio,
     two_point_distribution,
 )
@@ -117,6 +118,27 @@ class TestTypeValidation:
             TransitionMatrix([[0.5, 0.5], [0.5, 0.5001]])
         assert "np.float64" not in str(err.value)
         assert "sums to 1.0001" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [[[1.0, 0.0], [0.0]], [0, [1]], ["x", 1]],
+                             ids=["ragged", "nested", "string"])
+    @pytest.mark.parametrize("build, name", [
+        (TransitionMatrix, "transition matrix entries"),
+        (lambda bad: certify_gibbs_matrix(bad, uniform_system(2), 1.0),
+         "transition matrix entries"),
+        (lambda bad: LevelSystem(bad, [1, 1]), "energies"),
+        (lambda bad: LevelSystem([0.0, 1.0], bad), "degeneracies"),
+        (ProbabilityVector, "weights"),
+        (lambda bad: TwoPointDistribution(bad, *[ProbabilityVector([0.5, 0.5])] * 2),
+         "joint"),
+        (lambda bad: entropy(uniform_system(2), bad), "distribution"),
+        (lambda bad: kl_divergence(bad, [0.5, 0.5]), "distribution"),
+    ], ids=["transition", "certify", "energies", "degeneracies", "weights", "joint",
+            "entropy", "kl"])
+    def test_ragged_or_non_numeric_input_is_an_input_error_naming_it(self, build, name,
+                                                                     bad):
+        # numpy's own ValueError would fall outside the package's two error bases
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an array of numbers: "):
+            build(bad)
 
     def test_values_are_frozen(self):
         system = uniform_system(3)

@@ -4,22 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlsthermo import response
 from nlsthermo.core import (
-    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
     _expectation_sum,
+    certify_gibbs_matrix,
     make_gibbs_state,
 )
 from nlsthermo.fluctuation import heat_and_entropy_change
 from nlsthermo.genrand import random_gibbs_instance
 from nlsthermo.response import (
     PerturbationGenerator,
-    SlopeBundle,
     _fd_slopes,
     clausius_equality_residual,
     cumulant_deviation,
@@ -28,7 +29,6 @@ from nlsthermo.response import (
     newton_cooling_coefficient,
     perturbed_matrix,
     random_perturbation,
-    slope_bundle,
     slope_direct,
     slope_fluctuation,
     slope_numeric,
@@ -37,6 +37,7 @@ from nlsthermo.response import (
     weak_coupling_residual,
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
+from strategies import metropolis_instances, random_instances, spin1_instances
 
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -92,39 +93,25 @@ class TestSlopeRoutes:
         assert slope_numeric(G) == pytest.approx(direct, abs=1e-6)
 
     def test_random_instances_validate_as_bundles(self):
+        """The suite's agreement lines of the four routes, at their bounds."""
         for seed in range(30):
             G = random_gibbs_instance(2 + seed % 8, 900 + seed)
-            bundle = slope_bundle(G)
-            scale = max(1.0, abs(bundle.direct))
-            assert abs(bundle.direct - bundle.symmetrized) <= 1e-9 * scale
-            assert abs(bundle.direct - bundle.fluctuation) <= 1e-9 * scale
-            assert abs(bundle.direct - bundle.numeric) <= 1e-4 * scale
-
-    @pytest.mark.parametrize("routes, message", [
-        ((1.0, 1.0, 1.0, -1.0), "negative"),
-        ((1.0, 1.0 + 1e-8, 1.0, 1.0), "closed-form"),
-        ((1.0, 1.0, 1.0 - 1e-8, 1.0), "closed-form"),
-        ((1.0, 1.0, 1.0, 1.001), "finite-difference"),
-    ])
-    def test_bundle_rejects_disagreeing_routes(self, routes, message):
-        with pytest.raises(EvaluationError, match=message):
-            SlopeBundle(*routes)
-
-    def test_bundle_tolerances_are_strict(self):
-        # exactly at the bound passes; the reports' SLACK_TOL is not granted
-        SlopeBundle(0.0, 1e-9, 0.0, 1e-4)
-        SlopeBundle(0.0, 0.0, 0.0, -1e-10)
-        with pytest.raises(EvaluationError):
-            SlopeBundle(0.0, 1e-9 + 5e-13, 0.0, 0.0)
-        with pytest.raises(EvaluationError):
-            SlopeBundle(0.0, 0.0, 0.0, -1.000001e-10)
+            symmetrized, fluctuation, numeric, _, _ = slope_suite(G)
+            scale = max(1.0, abs(slope_direct(G)))
+            assert symmetrized.lhs <= 1e-9 * scale
+            assert fluctuation.lhs <= 1e-9 * scale
+            assert numeric.lhs <= 1e-4 * scale
 
     def test_suite_reports_the_bundle_comparisons_and_the_tangent(self):
+        """Each line's value compares the four public routes."""
         G = spin1_gibbs_matrix(1.0)
         reports = slope_suite(G)
-        bundle = slope_bundle(G)
-        assert reports[2].lhs == abs(bundle.direct - bundle.numeric)
-        assert reports[4].lhs == abs(slope_numeric(G) - entropy_slope_numeric(G))
+        routes = (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G),
+                  slope_numeric(G))
+        direct, numeric = routes[0], routes[3]
+        assert [r.lhs for r in reports] == [
+            *(abs(direct - route) for route in routes[1:]), -min(routes),
+            abs(numeric - entropy_slope_numeric(G))]
         assert [r.label.split(":")[0] for r in reports] == [
             "slope agreement", "slope agreement", "slope agreement",
             "slope nonnegativity", "common tangent"]
@@ -149,6 +136,52 @@ class TestSlopeRoutes:
             h = 1e-4 * max(1.0, abs(G.beta0))
             assert slope_numeric(G) == _fd_slopes(G, h)[0]
             assert entropy_slope_numeric(G) == _fd_slopes(G, h)[1]
+
+
+def scalar_fd_slopes(G, h):
+    """The central differences of beta <dQ> and <dS> at beta0 from the scalar
+    reference :func:`heat_and_entropy_change`, one call per side."""
+    plus, minus = G.beta0 + h, G.beta0 - h
+    dq_plus, ds_plus = heat_and_entropy_change(G, plus)
+    dq_minus, ds_minus = heat_and_entropy_change(G, minus)
+    return ((plus * dq_plus - minus * dq_minus) / (2.0 * h),
+            (ds_plus - ds_minus) / (2.0 * h))
+
+
+def assert_grid_slopes_match_the_scalar_reference(G):
+    """Both finite differences read from grid rows are within
+    1e-9 max(1, |a|) of the scalar ones at the same step."""
+    bound = 1e-9 * max(1.0, abs(slope_direct(G)))
+    reference = scalar_fd_slopes(G, 1e-4 * max(1.0, abs(G.beta0)))
+    for grid_value, scalar_value in zip(_fd_slopes(G), reference):
+        assert abs(grid_value - scalar_value) <= bound
+
+
+class TestGridFiniteDifference:
+    """The finite-difference slopes come from one grid pass; the scalar
+    per-beta path stays their reference."""
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32, 48, 96])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances_match_the_scalar_reference(self, n, seed):
+        assert_grid_slopes_match_the_scalar_reference(random_gibbs_instance(n, seed))
+
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_instances_match_the_scalar_reference(self, instance):
+        system, raw, beta0 = instance
+        _, G = certify_gibbs_matrix(raw, system, beta0)
+        assume(G is not None)
+        assert_grid_slopes_match_the_scalar_reference(G)
+
+    def test_one_grid_pass_over_both_sides(self, monkeypatch):
+        calls = []
+        grid_pass = response.grid_pass
+        monkeypatch.setattr(response, "grid_pass",
+                            lambda G, betas: calls.append(list(betas)) or grid_pass(G, betas))
+        G = spin1_gibbs_matrix(2.0)
+        slope_suite(G)
+        assert calls == [[2.0 + 2e-4, 2.0 - 2e-4]]
 
 
 class TestVastUnusedGap:
@@ -295,6 +328,12 @@ class TestWeakCoupling:
     def test_generator_requires_zero_column_sums(self):
         with pytest.raises(InvalidInputError, match="column sums"):
             PerturbationGenerator(np.array([[0.1, 0.0], [0.0, -0.1]]))
+
+    @pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0]], [[0.0, "x"], [0.0, 0.0]]],
+                             ids=["ragged", "string"])
+    def test_ragged_or_non_numeric_generator_is_an_input_error(self, bad):
+        with pytest.raises(InvalidInputError, match="^generator must be an array of numbers: "):
+            PerturbationGenerator(bad)
 
     def test_zero_eps_gives_zero_residual(self):
         gen = random_perturbation(4, 0)

@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from nlsthermo import spinboson
+from nlsthermo import fluctuation, spinboson
 from nlsthermo.core import InvalidInputError, certify_gibbs_matrix, make_gibbs_state, propagate
+from nlsthermo.fluctuation import heat_and_entropy_change
 from nlsthermo.spinboson import (
     _CHUNK,
     MAX_BETA0,
@@ -299,13 +300,36 @@ class TestNumericalOracle:
             np.testing.assert_allclose(kernel.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
+def golden_section_argmax(beta0):
+    """The maximizer of |<dS>| on (0, beta0) by golden-section search on the
+    scalar reference, to a bracket below 1e-6: an independent route."""
+    G = spin1_gibbs_matrix(beta0)
+
+    def magnitude(beta):
+        return abs(heat_and_entropy_change(G, beta)[1])
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, G.beta0
+    left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f_left, f_right = magnitude(left), magnitude(right)
+    while hi - lo > 1e-6:
+        if f_left > f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - inv_phi * (hi - lo)
+            f_left = magnitude(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + inv_phi * (hi - lo)
+            f_right = magnitude(right)
+    return 0.5 * (lo + hi)
+
+
 class TestEntropyTransferExtremum:
     def test_location_matches_the_quantitative_anchor(self):
         found = delta_s_argmax(1.0)
         assert found == pytest.approx(0.279896, abs=1e-3)
 
     def test_magnitude_beats_the_high_temperature_end(self):
-        from nlsthermo.fluctuation import heat_and_entropy_change
         G = spin1_gibbs_matrix(1.0)
         found = delta_s_argmax(1.0)
         _, ds_star = heat_and_entropy_change(G, found)
@@ -313,7 +337,6 @@ class TestEntropyTransferExtremum:
         assert abs(ds_star) > abs(ds_edge)
 
     def test_entropy_change_vanishes_at_the_fixed_point(self):
-        from nlsthermo.fluctuation import heat_and_entropy_change
         G = spin1_gibbs_matrix(1.0)
         _, ds = heat_and_entropy_change(G, 1.0)
         assert abs(ds) <= 1e-14
@@ -321,3 +344,23 @@ class TestEntropyTransferExtremum:
     def test_domain_error(self):
         with pytest.raises(InvalidInputError):
             delta_s_argmax(-2.0)
+
+    @pytest.mark.parametrize("beta0", np.geomspace(1e-3, 10.0, 13).tolist())
+    def test_matches_the_golden_section_reference(self, beta0):
+        assert abs(delta_s_argmax(beta0) - golden_section_argmax(beta0)) <= 1e-6
+
+    def test_each_round_is_one_grid_pass(self, monkeypatch):
+        """Rounds of 33 betas, each bracket the sampled maximum's neighbours,
+        until it is below 1e-6: five rounds from [0, 1]."""
+        rounds = []
+        grid_pass = fluctuation.grid_pass
+        monkeypatch.setattr(spinboson, "grid_pass",
+                            lambda G, betas: rounds.append(betas) or grid_pass(G, betas))
+        found = delta_s_argmax(1.0)
+        assert [len(betas) for betas in rounds] == [33] * 5
+        assert (rounds[0][0], rounds[0][-1]) == (0.0, 1.0)
+        for before, after in zip(rounds, rounds[1:]):
+            lo = before.tolist().index(after[0])
+            assert after[-1] == before[lo + 2]
+        assert rounds[-1][-1] - rounds[-1][0] < 16e-6
+        assert rounds[-1][0] < found < rounds[-1][-1]

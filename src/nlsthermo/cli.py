@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
                  else (list(G.certification), G))
     if G is not None:
         if "jequation" in suites or "inequalities" in suites:
-            grid = grid_pass(G, betas, identities=True)
+            grid = grid_pass(G, betas)
         if "jequation" in suites:
             checks += jequation_suite(grid)
         if "inequalities" in suites:

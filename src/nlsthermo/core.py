@@ -84,7 +84,10 @@ class EvaluationError(ArithmeticError):
 
 
 class CertificationError(InvalidInputError):
-    """Raised when a matrix breaks a rule of :func:`certify_gibbs_matrix`."""
+    """Raised when a matrix breaks a rule of :func:`certify_gibbs_matrix`, with
+    its report ``lines`` when :class:`GibbsMatrix` had formed them."""
+
+    lines: tuple[InequalityReport, ...] | None = None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -211,12 +214,15 @@ class GibbsMatrix:
     def __post_init__(self):
         object.__setattr__(self, "beta0", float(self.beta0))
         rules, log_p0, rho = _certification(self.matrix.entries, self.system, self.beta0)
+        lines = tuple(line for line, _ in rules)
         _, failure = rules[1]  # the transition matrix holds the other two
         if failure is not None:
-            raise CertificationError(f"{failure} at beta0={self.beta0!r}")
+            error = CertificationError(f"{failure} at beta0={self.beta0!r}")
+            error.lines = lines
+            raise error
         w = np.exp(log_p0)
         object.__setattr__(self, "fixed_point", ProbabilityVector(w / w.sum()))
-        object.__setattr__(self, "certification", tuple(line for line, _ in rules))
+        object.__setattr__(self, "certification", lines)
         object.__setattr__(self, "log_p0", _freeze(log_p0))
         object.__setattr__(self, "rho", _freeze(rho))
 
@@ -285,7 +291,7 @@ def gibbs_log_weights(system: LevelSystem, beta):
     below the double range is a weight of 0, but a row whose largest one
     leaves it raises :class:`EvaluationError` naming its beta.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = _float_array(beta, "beta")
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("beta must be finite")
     with np.errstate(over="ignore"):
@@ -344,7 +350,7 @@ def expectation(dist: TwoPointDistribution, table) -> float:
     naming the pair.
     """
     joint = dist.joint
-    values = np.asarray(table, dtype=float)
+    values = _float_array(table, "table")
     if values.shape != joint.shape:
         raise InvalidInputError("random-variable table shape does not match the joint")
     bad = (joint > 0.0) & ~np.isfinite(values)
@@ -503,12 +509,13 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
     rule lands in its line instead of raising.  Then the Gibbs matrix if
     every line holds, else ``None``.  ``matrix`` may be a bare array.  The
     lines of a matrix that constructs are its ``G.certification``."""
-    given = isinstance(matrix, TransitionMatrix)
     try:
-        G = GibbsMatrix(matrix if given else TransitionMatrix(matrix), system, beta0)
-    except CertificationError:
-        raw = _square_finite(matrix.entries if given else matrix)
-        return [line for line, _ in _certification(raw, system, float(beta0))[0]], None
+        G = GibbsMatrix(matrix if isinstance(matrix, TransitionMatrix)
+                        else TransitionMatrix(matrix), system, beta0)
+    except CertificationError as exc:  # a broken sign or column sum has no lines yet
+        lines = exc.lines or [line for line, _ in _certification(
+            _square_finite(matrix), system, float(beta0))[0]]
+        return list(lines), None
     return list(G.certification), G
 
 

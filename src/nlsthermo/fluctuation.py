@@ -20,13 +20,13 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
-:func:`grid_pass` evaluates the per-point quantities over a whole beta grid
-as arrays, a block of beta rows at a time; the suites :func:`jequation_suite`
-and :func:`inequality_suite` reduce its arrays to worst-case reports.  It is
-the one evaluator of a Gibbs matrix's per-beta values (the finite-difference
-slopes and the entropy argmax read its rows too); the scalar per-beta
-functions (:func:`heat_and_entropy_change`, :func:`j_heat_expectation`,
-:func:`clausius_bounds`, ...) stay public as its reference.
+:func:`grid_pass` evaluates every per-point line (<dQ>, <dS>, both J values,
+both KL sides) over a beta grid as arrays, a block of beta rows at a time;
+the suites :func:`jequation_suite` and :func:`inequality_suite` reduce them
+to worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
+values (the sweep, the finite-difference slopes and the entropy argmax read
+its rows too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
+:func:`j_heat_expectation`, :func:`clausius_bounds`, ...) are its reference.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     LevelSystem,
     ProbabilityVector,
     TransitionMatrix,
+    _float_array,
     _weights_of,
     entropy,
     gibbs_log_weights,
@@ -262,75 +263,67 @@ def bistochastic_work_check(T: TransitionMatrix, system: LevelSystem,
 
 @dataclass(frozen=True, eq=False)
 class GridPass:
-    """Per-point arrays of :func:`grid_pass`: <dQ> and <dS> everywhere and,
-    with identities, the heat J value everywhere plus the general J value
-    (ptilde = q) and the KL sides S(Tp || Tp0), S(p || p0) where p > 0
-    everywhere (``positive``), NaN elsewhere."""
+    """Per-point arrays of :func:`grid_pass`: <dQ>, <dS> and the heat J value
+    everywhere, and the general J value (ptilde = q) and the KL sides
+    S(Tp || Tp0), S(p || p0) where p > 0 everywhere (``positive``), NaN
+    elsewhere."""
 
     beta0: float
     betas: np.ndarray
     dq: np.ndarray
     ds: np.ndarray
-    positive: np.ndarray | None = None
-    j_heat: np.ndarray | None = None
-    j_general: np.ndarray | None = None
-    kl_after: np.ndarray | None = None
-    kl_before: np.ndarray | None = None
+    positive: np.ndarray
+    j_heat: np.ndarray
+    j_general: np.ndarray
+    kl_after: np.ndarray
+    kl_before: np.ndarray
 
 
-def _row_kl(w: np.ndarray, log_ref: np.ndarray) -> np.ndarray:
-    """sum_n w_n (log w_n - log_ref_n) of each row, with 0 log 0 = 0: S(w || ref),
-    or the entropy -S(w) when ``log_ref`` holds the log degeneracies."""
-    return np.sum(w * (np.log(np.where(w > 0.0, w, 1.0)) - log_ref), axis=1)
-
-
-def grid_pass(G: GibbsMatrix, betas, identities: bool = False) -> GridPass:
-    """Evaluate a beta grid as arrays, ``BLOCK_ROWS`` beta rows at a time.
+def grid_pass(G: GibbsMatrix, betas) -> GridPass:
+    """Evaluate every line of a beta grid as arrays, ``BLOCK_ROWS`` rows at a time.
 
     Each block holds log p (one :func:`gibbs_log_weights` call, whose rows
     are bit for bit its per-beta values; a non-finite beta raises there), p
-    and q = clip(T p) as rows; <dQ>, <dS> and, with ``identities``, both KL
-    sides are row reductions of them.  Since
-    p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J double sum
-    sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly p @ rho with
-    rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every beta the line
-    certifies what the fixed-point rule implies.  rho and log p0 come from
-    the certified table ``G.rho``, ``G.log_p0``, so log q0 = log rho + log p0
-    and both KL sides stay exact where p0 is subnormal or underflows.  The
-    general J value with ptilde = q is sum_m q_m (T p0)_m / q0_m, the sum of
-    q over the support rho > 0: one up to the rounding of that sum.
-    :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
-    double sums and stay the reference, agreeing to rounding, not bit for bit.
+    and q = clip(T p) as rows, and the logs of p and q (0 log 0 = 0), taken
+    once: <dQ>, <dS> and both KL sides are row reductions of them.
+    Since p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J
+    double sum sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly
+    p @ rho with rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every
+    beta the line certifies what the fixed-point rule implies.  rho and
+    log p0 come from the certified table ``G.rho``, ``G.log_p0``, so
+    log q0 = log rho + log p0 and both KL sides stay exact where p0 is
+    subnormal or underflows.  The general J value with ptilde = q is
+    sum_m q_m (T p0)_m / q0_m, the sum of q over the support rho > 0: one up
+    to the rounding of that sum.  :func:`j_heat_expectation` and
+    :func:`general_j_expectation` keep the double sums and stay the
+    reference, agreeing to rounding, not bit for bit.
     """
-    betas = np.asarray(betas, dtype=float)
+    betas = _float_array(betas, "betas")
     if betas.ndim != 1:
         raise InvalidInputError("betas must be a 1-D grid")
     system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
     energies, log_d = system.energies, np.log(system.degeneracy_weights())
-    dq, ds = np.empty(size), np.empty(size)
-    if identities:
-        support = G.rho > 0.0  # certified: rho finite, near 1
-        log_q0 = np.log(np.where(support, G.rho, 1.0)) + G.log_p0
-        positive = np.empty(size, dtype=bool)
-        j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(4))
+    support = G.rho > 0.0  # certified: rho finite, near 1
+    log_q0 = np.log(np.where(support, G.rho, 1.0)) + G.log_p0
+    positive = np.empty(size, dtype=bool)
+    dq, ds, j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(6))
     for lo in range(0, size, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         log_p, _ = gibbs_log_weights(system, betas[rows])
         p = np.exp(log_p)
         p /= p.sum(axis=1, keepdims=True)
         q = np.clip(p @ t_entries.T, 0.0, 1.0)
+        # logs of the normalized rows (0 log 0 = 0), read by <dS> and both KL sides
+        log_p, log_q = (np.log(np.where(w > 0.0, w, 1.0)) for w in (p, q))
         dq[rows] = q @ energies - p @ energies
-        ds[rows] = _row_kl(p, log_d) - _row_kl(q, log_d)
-        if not identities:
-            continue
+        ds[rows] = np.sum(p * (log_p - log_d), axis=1) - np.sum(q * (log_q - log_d), axis=1)
         j_heat[rows] = p @ G.rho
-        block_positive = p.min(axis=1) > 0.0
-        positive[rows] = block_positive
-        j_general[rows] = np.where(block_positive, q @ support, np.nan)
-        kl_after[rows] = np.where(block_positive, _row_kl(q, log_q0), np.nan)
-        kl_before[rows] = np.where(block_positive, _row_kl(p, G.log_p0), np.nan)
-    extras = (positive, j_heat, j_general, kl_after, kl_before) if identities else ()
-    return GridPass(G.beta0, betas, dq, ds, *extras)
+        positive[rows] = p.min(axis=1) > 0.0
+        j_general[rows] = q @ support
+        kl_after[rows] = np.sum(q * (log_q - log_q0), axis=1)
+        kl_before[rows] = np.sum(p * (log_p - G.log_p0), axis=1)
+    j_general[~positive] = kl_after[~positive] = kl_before[~positive] = np.nan
+    return GridPass(G.beta0, betas, dq, ds, positive, j_heat, j_general, kl_after, kl_before)
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
@@ -340,9 +333,9 @@ def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
 
 
 def jequation_suite(grid: GridPass) -> list[InequalityReport]:
-    """Largest |value - 1| of both J-equations over a pass with identities
-    (0 for an empty set).  A NaN heat value fails its line; general values
-    count only where ``positive``."""
+    """Largest |value - 1| of both J-equations over a pass (0 for an empty
+    set).  A NaN heat value fails its line; general values count only where
+    ``positive``."""
     heat, general = (float(np.max(np.abs(j - 1.0), initial=0.0))
                      for j in (grid.j_heat, grid.j_general[grid.positive]))
     return [
@@ -354,9 +347,9 @@ def jequation_suite(grid: GridPass) -> list[InequalityReport]:
 
 
 def inequality_suite(grid: GridPass) -> list[InequalityReport]:
-    """Worst slack of each inequality over a pass with identities.  Entropy
-    flow is checked where beta >= 0 (if beta0 > 0), KL contraction where
-    p > 0; an inequality is left out when no point qualifies."""
+    """Worst slack of each inequality over a pass.  Entropy flow is checked
+    where beta >= 0 (if beta0 > 0), KL contraction where p > 0; an
+    inequality is left out when no point qualifies."""
     betas, dq, ds, beta0 = grid.betas, grid.dq, grid.ds, grid.beta0
     every = np.ones(betas.shape, dtype=bool)
     zero = np.zeros(betas.shape)

@@ -40,6 +40,7 @@ from .core import (
     delta_q_table,
 )
 from .fluctuation import _marginal_changes, compare, grid_pass
+from .genrand import random_stochastic
 
 __all__ = [
     "PerturbationGenerator",
@@ -169,7 +170,7 @@ def cumulant_deviation(G: GibbsMatrix, t):
     to rounding.  An array of t gives its scalar values bit for bit, from
     one heat table.
     """
-    t = np.asarray(t, dtype=float)
+    t = _float_array(t, "t")
     if np.any(np.abs(t) > 0.1):
         raise InvalidInputError("cumulant check is meant for |t| <= 0.1")
     joint, dq, k1, k2 = _heat_cumulants(G)
@@ -237,18 +238,14 @@ class PerturbationGenerator:
 
 
 def random_perturbation(n: int, seed) -> PerturbationGenerator:
-    """Sample a generator as (random column-stochastic matrix - identity).
+    """Sample a generator as :func:`~nlsthermo.genrand.random_stochastic`
+    minus the identity.
 
     Then 1 + eps t = (1 - eps) 1 + eps M is a valid transition matrix for
     every eps in [0, 1], so the whole tested range is admissible by
     construction.
     """
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(size=(n, n))
-    m /= m.sum(axis=0)
-    return PerturbationGenerator(m - np.eye(n))
+    return PerturbationGenerator(random_stochastic(n, seed).entries - np.eye(n))
 
 
 def perturbed_matrix(gen: PerturbationGenerator, eps: float) -> TransitionMatrix:

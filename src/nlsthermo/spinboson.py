@@ -36,6 +36,7 @@ from .core import (
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
+    _float_array,
 )
 from .fluctuation import grid_pass
 
@@ -140,7 +141,7 @@ def triplet_block(n, lam: float) -> np.ndarray:
     |1, n-1>, |0, n>, |-1, n+1>: diagonal n + 1/2 and couplings
     lam sqrt(2n), lam sqrt(2n + 2).  An array of n gives the stack of blocks,
     shape n.shape + (3, 3)."""
-    n = np.asarray(n, dtype=float)
+    n = _float_array(n, "n")
     if (n < 1).any():
         raise InvalidInputError("triplet index starts at 1")
     blocks = np.zeros(n.shape + (3, 3))

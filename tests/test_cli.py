@@ -512,6 +512,25 @@ class TestFixedPointTable:
         heat_tables = 2 if argv[0] == "verify" else 0
         assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_cumulants"] * heat_tables
 
+    @pytest.mark.parametrize("transition, holds", [
+        ([[0.5, 0.5], [0.5, 0.5]], [True, False, True]),
+        ([[1.1, 0.5], [-0.1, 0.5]], [True, False, False]),
+        ([[0.5, 0.5], [0.4, 0.5]], [False, False, True]),
+    ], ids=["fixed-point", "sign", "column-sum"])
+    def test_a_failing_certification_forms_rho_once(self, transition, holds, tmp_path,
+                                                    monkeypatch, capsys):
+        """The constructor's error carries the lines it formed, so a matrix
+        that fails only the fixed-point rule is not certified a second time."""
+        path = write_instance(tmp_path, [0.0, 1.0], transition)
+        calls = []
+        original = core._fixed_point_ratio
+        monkeypatch.setattr(core, "_fixed_point_ratio",
+                            lambda *args: calls.append(1) or original(*args))
+        assert run_cli("verify", "--input", path) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["holds"] for c in checks] == holds
+        assert len(calls) == 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_minus_inf_log_weight_exits_one_naming_the_level(self, tmp_path, capsys,

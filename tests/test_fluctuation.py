@@ -372,7 +372,7 @@ def per_point(G, betas):
 class TestGridPass:
     def test_agrees_with_the_per_point_functions(self, build):
         G = build()
-        grid = grid_pass(G, WIDE_GRID, identities=True)
+        grid = grid_pass(G, WIDE_GRID)
         (dq, dq_scale, ds, ds_scale, j_heat, positive, j_general, kl_after, kl_before,
          after_scale, before_scale) = per_point(G, WIDE_GRID)
         assert positive.any()
@@ -387,17 +387,9 @@ class TestGridPass:
         assert_close(grid.kl_after[positive], kl_after[positive], after_scale[positive])
         assert_close(grid.kl_before[positive], kl_before[positive], before_scale[positive])
 
-    def test_without_identities_gives_the_same_heat_and_entropy(self, build):
-        G = build()
-        full = grid_pass(G, WIDE_GRID, identities=True)
-        plain = grid_pass(G, WIDE_GRID)
-        assert plain.j_heat is None and plain.positive is None
-        assert np.array_equal(plain.dq, full.dq)
-        assert np.array_equal(plain.ds, full.ds)
-
     def test_suites_report_the_worst_per_point_value(self, build):
         G = build()
-        grid = grid_pass(G, WIDE_GRID, identities=True)
+        grid = grid_pass(G, WIDE_GRID)
         heat, general = jequation_suite(grid)
         assert heat.lhs == np.abs(grid.j_heat - 1.0).max()
         assert max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID) <= J_EQUATION_TOL
@@ -422,14 +414,14 @@ class TestGridPass:
 class TestGridSuites:
     @pytest.mark.parametrize("build", [GRID_CASES[0], GRID_CASES[-1]])
     def test_wide_grid_reaches_zero_gibbs_weights(self, build):
-        grid = grid_pass(build(), WIDE_GRID, identities=True)
+        grid = grid_pass(build(), WIDE_GRID)
         assert not grid.positive[0] and not grid.positive[-1]
         assert grid.positive[1:-1].all()
         assert np.isnan(grid.kl_after[[0, -1]]).all()
 
     def test_negative_grid_has_no_entropy_flow_report(self):
         G = random_gibbs_instance(4, 3)
-        grid = grid_pass(G, np.linspace(-5.0, -1.0, 9), identities=True)
+        grid = grid_pass(G, np.linspace(-5.0, -1.0, 9))
         labels = [c.label for c in inequality_suite(grid)]
         assert len(labels) == 4
         assert not any(label.startswith("entropy flow") for label in labels)
@@ -438,7 +430,7 @@ class TestGridSuites:
         # the identity map leaves p unchanged: every slack is exactly zero
         system = LevelSystem([0.3, -1.2, 2.0], [1, 1, 1])
         G = GibbsMatrix(TransitionMatrix(np.eye(3)), system, 1.0)
-        grid = grid_pass(G, [-2.0, 0.5, 3.0], identities=True)
+        grid = grid_pass(G, [-2.0, 0.5, 3.0])
         reports = inequality_suite(grid)
         assert all(r.slack == 0.0 for r in reports)
         # entropy flow counts only beta >= 0, so its first point is 0.5
@@ -475,7 +467,7 @@ class TestGridSuites:
         # sums this pass once used rounded to errors that overflowed exp at
         # some points of this N = 3 instance; p @ rho has no such term
         G = random_gibbs_instance(3, 4)
-        grid = grid_pass(G, np.linspace(-1e20, 1e20, 101), identities=True)
+        grid = grid_pass(G, np.linspace(-1e20, 1e20, 101))
         heat, _ = jequation_suite(grid)
         assert heat.holds and heat.lhs <= 1e-14
 
@@ -484,7 +476,7 @@ class TestGridSuites:
     def test_heat_j_stays_at_rounding_on_wide_grids(self, n, span):
         for seed in range(10):
             G = random_gibbs_instance(n, seed)
-            grid = grid_pass(G, np.linspace(-span, span, 101), identities=True)
+            grid = grid_pass(G, np.linspace(-span, span, 101))
             assert np.max(np.abs(grid.j_heat - 1.0)) <= 1e-14
 
     def test_overflowing_ratio_fails_the_heat_line_without_warnings(self):
@@ -506,7 +498,7 @@ class TestGridSuites:
         come from log space, so the identity map keeps every line exact."""
         G = GibbsMatrix(TransitionMatrix(np.eye(2)), LevelSystem([0.0, 1e300], [1, 1]), 1.0)
         assert G.fixed_point.weights[1] == 0.0
-        grid = grid_pass(G, [0.0, 1.0], identities=True)
+        grid = grid_pass(G, [0.0, 1.0])
         assert grid.j_heat.tolist() == [1.0, 1.0]
         assert grid.positive.tolist() == [True, False]
         # S(p || p0) = (log 2 + 1e300) / 2 - log 2 at beta = 0, the same after T
@@ -531,7 +523,7 @@ class TestRelativeFixedPoint:
         p0 = G.fixed_point.weights
         assert np.abs(raw @ p0 - p0).max() <= FIXED_POINT_TOL
         betas = np.linspace(-5.0 * beta0, 5.0 * beta0, 201)
-        grid = grid_pass(G, betas, identities=True)
+        grid = grid_pass(G, betas)
         heat, _ = jequation_suite(grid)
         assert heat.holds
         rho = G.rho

@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 import time
+import types
 from dataclasses import asdict
 
 import numpy as np
@@ -189,6 +190,14 @@ def cmd_example(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _instance_count(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -267,6 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     example.set_defaults(func=cmd_example)
     for sub in (sweep, verify, gen, example):
         sub.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+        # argparse's own negative-number pattern has no exponent, so it read the
+        # -1e-3 of "--beta-min -1e-3" as an option: any float is a value
+        sub._negative_number_matcher = types.SimpleNamespace(match=_is_float)
     return parser
 
 

@@ -24,8 +24,8 @@ maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 both KL sides) over a beta grid as arrays, a block of beta rows at a time;
 the suites :func:`jequation_suite` and :func:`inequality_suite` reduce them
 to worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
-values (the sweep, the finite-difference slopes and the entropy argmax read
-its rows too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
+values (the sweep, the entropy argmax and the finite-difference ``slope_numeric``
+read its rows too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
 :func:`j_heat_expectation`, :func:`clausius_bounds`, ...) are its reference.
 """
 

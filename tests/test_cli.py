@@ -3,6 +3,7 @@ file handling, and the exit-status contract."""
 
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -228,6 +229,60 @@ class TestSweep:
         assert run_cli("sweep", "--example", "spin1", "--steps", "1") == 2
         assert run_cli("sweep", "--example", "spin1",
                        "--beta-min", "2", "--beta-max", "-2") == 2
+
+
+class TestNegativeFloatValues:
+    """A negative float in any form ``float`` reads, exponent included, is the
+    value of ``--beta-min``, ``--beta-max`` or ``--beta0`` when it follows
+    the option as a separate word, just as when attached with ``=``."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("sweep", "--random", "3", "--steps", "5",
+          "--beta-min", "-4.76837158203125e-06"), 0),
+        (("sweep", "--random", "3", "--steps", "5",
+          "--beta-min", "-2E-3", "--beta-max", "-1e-3"), 0),
+        (("verify", "--random", "3", "--steps", "5", "--suite", "slopes",
+          "--beta-min", "-1e-3", "--beta-max", "1e-3"), 0),
+        (("verify", "--example", "spin1", "--beta0", "-1e-3"), 2),
+        (("example", "spin1", "--beta0", "-1e-3"), 2),
+        (("sweep", "--random", "3", "--beta-min", "-inf"), 2),
+    ], ids=["sweep", "sweep-both", "verify", "verify-beta0", "example", "sweep-inf"])
+    def test_separate_value_reads_as_the_attached_one(self, argv, code, capsys):
+        words = iter(argv)
+        attached = [f"{word}={next(words)}" if word.startswith("--beta") else word
+                    for word in words]
+        assert run_cli(*attached) == code
+        expected = capsys.readouterr()
+        assert run_cli(*argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == expected.out
+        if code == 2:  # verify's stderr carries its timing otherwise
+            assert captured.err == expected.err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_missing_value_still_names_the_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--random", "3", "--beta-min")
+        assert exit_info.value.code == 2
+        assert "argument --beta-min: expected one argument" in capsys.readouterr().err
+
+
+class TestUnitRescaling:
+    """The slope lines hold in a power-of-two change of the energy unit,
+    E -> 2^k E and beta0 -> 2^-k beta0: the tangent they read is exact, with
+    no step that carries the unit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-20, -10, 10, 20])
+    @pytest.mark.parametrize("n, seed", [(8, 0), (32, 1)])
+    def test_slope_suite_passes_on_the_rescaled_instance(self, n, seed, k, tmp_path):
+        path = tmp_path / "inst.json"
+        assert run_cli("gen", str(n), "--seed", str(seed), "--out", str(path)) == 0
+        obj = json.loads(path.read_text())
+        obj["energies"] = [math.ldexp(e, k) for e in obj["energies"]]
+        obj["beta0"] = math.ldexp(obj["beta0"], -k)
+        path.write_text(json.dumps(obj))
+        assert run_cli("verify", "--input", str(path), "--suite", "slopes") == 0
 
 
 class TestVerify:

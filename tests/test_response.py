@@ -17,11 +17,11 @@ from nlsthermo.core import (
     certify_gibbs_matrix,
     make_gibbs_state,
 )
-from nlsthermo.fluctuation import heat_and_entropy_change
+from nlsthermo.fluctuation import grid_pass, heat_and_entropy_change
 from nlsthermo.genrand import random_gibbs_instance
 from nlsthermo.response import (
     PerturbationGenerator,
-    _fd_slopes,
+    _tangents,
     clausius_equality_residual,
     cumulant_deviation,
     cumulant_suite,
@@ -90,7 +90,7 @@ class TestSlopeRoutes:
         direct = slope_direct(G)
         assert slope_fluctuation(G) == pytest.approx(direct, rel=1e-9)
         assert slope_symmetrized(G) == pytest.approx(direct, rel=1e-9)
-        assert slope_numeric(G) == pytest.approx(direct, abs=1e-6)
+        assert _tangents(G)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_random_instances_validate_as_bundles(self):
         """The suite's agreement lines of the four routes, at their bounds."""
@@ -103,15 +103,16 @@ class TestSlopeRoutes:
             assert numeric.lhs <= 1e-4 * scale
 
     def test_suite_reports_the_bundle_comparisons_and_the_tangent(self):
-        """Each line's value compares the four public routes."""
+        """Each line's value compares the three closed forms and the exact
+        tangents."""
         G = spin1_gibbs_matrix(1.0)
         reports = slope_suite(G)
-        routes = (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G),
-                  slope_numeric(G))
-        direct, numeric = routes[0], routes[3]
+        heat, entropy = _tangents(G)
+        routes = (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G), heat)
+        direct = routes[0]
         assert [r.lhs for r in reports] == [
             *(abs(direct - route) for route in routes[1:]), -min(routes),
-            abs(numeric - entropy_slope_numeric(G))]
+            abs(heat - entropy)]
         assert [r.label.split(":")[0] for r in reports] == [
             "slope agreement", "slope agreement", "slope agreement",
             "slope nonnegativity", "common tangent"]
@@ -123,19 +124,21 @@ class TestSlopeRoutes:
         assert len(reports) == 5 and all(r.holds for r in reports)
 
     def test_finite_difference_converges_at_second_order(self):
+        """Both central differences approach the exact tangents as O(h^2)."""
         G = random_gibbs_instance(5, 321)
-        exact = slope_direct(G)
         h = 1e-3
-        err_h = abs(_fd_slopes(G, h)[0] - exact)
-        err_half = abs(_fd_slopes(G, h / 2)[0] - exact)
-        assert 3.0 <= err_h / err_half <= 5.0
+        for fd_h, fd_half, exact in zip(scalar_fd_slopes(G, h), scalar_fd_slopes(G, h / 2),
+                                        _tangents(G)):
+            assert 3.0 <= abs(fd_h - exact) / abs(fd_half - exact) <= 5.0
 
     def test_fixed_step_scales_with_beta0(self):
-        # h = 1e-4 max(1, |beta0|): the public route is the helper at that step
+        # h = 1e-4 max(1, |beta0|): the public reference is the grid difference at that step
         for G in (spin1_gibbs_matrix(0.5), spin1_gibbs_matrix(3.0)):
             h = 1e-4 * max(1.0, abs(G.beta0))
-            assert slope_numeric(G) == _fd_slopes(G, h)[0]
-            assert entropy_slope_numeric(G) == _fd_slopes(G, h)[1]
+            grid = grid_pass(G, [G.beta0 + h, G.beta0 - h])
+            beta_dq = grid.betas * grid.dq
+            assert slope_numeric(G) == float(beta_dq[0] - beta_dq[1]) / (2.0 * h)
+            assert entropy_slope_numeric(G) == float(grid.ds[0] - grid.ds[1]) / (2.0 * h)
 
 
 def scalar_fd_slopes(G, h):
@@ -153,13 +156,15 @@ def assert_grid_slopes_match_the_scalar_reference(G):
     1e-9 max(1, |a|) of the scalar ones at the same step."""
     bound = 1e-9 * max(1.0, abs(slope_direct(G)))
     reference = scalar_fd_slopes(G, 1e-4 * max(1.0, abs(G.beta0)))
-    for grid_value, scalar_value in zip(_fd_slopes(G), reference):
+    for grid_value, scalar_value in zip((slope_numeric(G), entropy_slope_numeric(G)),
+                                        reference):
         assert abs(grid_value - scalar_value) <= bound
 
 
 class TestGridFiniteDifference:
-    """The finite-difference slopes come from one grid pass; the scalar
-    per-beta path stays their reference."""
+    """The finite-difference reference comes from one grid pass, and the
+    scalar per-beta path stays its own reference; the suite reads the exact
+    tangents and no grid at all."""
 
     @pytest.mark.parametrize("n", [3, 8, 16, 32, 48, 96])
     @pytest.mark.parametrize("seed", range(4))
@@ -174,14 +179,36 @@ class TestGridFiniteDifference:
         assume(G is not None)
         assert_grid_slopes_match_the_scalar_reference(G)
 
-    def test_one_grid_pass_over_both_sides(self, monkeypatch):
+    def test_suite_makes_no_grid_pass(self, monkeypatch):
         calls = []
         grid_pass = response.grid_pass
         monkeypatch.setattr(response, "grid_pass",
                             lambda G, betas: calls.append(list(betas)) or grid_pass(G, betas))
         G = spin1_gibbs_matrix(2.0)
         slope_suite(G)
+        assert calls == []
+        slope_numeric(G)
         assert calls == [[2.0 + 2e-4, 2.0 - 2e-4]]
+
+
+class TestUnitCovariance:
+    """Under E -> 2^k E, beta0 -> 2^-k beta0 the Gibbs state, the matrix and
+    rho are unchanged, and each slope route is 2^k times its old value, bit
+    for bit: a power-of-two scale is exact in binary floating point."""
+
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()),
+           st.integers(-20, 20))
+    @settings(max_examples=300, deadline=None)
+    def test_tangents_and_direct_scale_exactly(self, instance, k):
+        system, raw, beta0 = instance
+        _, G = certify_gibbs_matrix(raw, system, beta0)
+        assume(G is not None)
+        scaled = GibbsMatrix(G.matrix, LevelSystem(np.ldexp(system.energies, k),
+                                                   system.degeneracies),
+                             math.ldexp(G.beta0, -k))
+        assert np.array_equal(scaled.rho, G.rho)
+        assert _tangents(scaled) == tuple(math.ldexp(slope, k) for slope in _tangents(G))
+        assert slope_direct(scaled) == math.ldexp(slope_direct(G), k)
 
 
 class TestVastUnusedGap:

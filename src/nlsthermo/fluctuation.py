@@ -293,18 +293,18 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
     log p0 come from the certified table ``G.rho``, ``G.log_p0``, so
     log q0 = log rho + log p0 and both KL sides stay exact where p0 is
     subnormal or underflows.  The general J value with ptilde = q is
-    sum_m q_m (T p0)_m / q0_m, the sum of q over the support rho > 0: one up
-    to the rounding of that sum.  :func:`j_heat_expectation` and
-    :func:`general_j_expectation` keep the double sums and stay the
-    reference, agreeing to rounding, not bit for bit.
+    sum_m q_m (T p0)_m / q0_m, the row sum of q, since certification keeps
+    every rho_m near 1: one up to the rounding of that sum.
+    :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
+    double sums and stay the reference, agreeing to rounding, not bit for bit.
     """
     betas = _float_array(betas, "betas")
     if betas.ndim != 1:
         raise InvalidInputError("betas must be a 1-D grid")
     system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
     energies, log_d = system.energies, np.log(system.degeneracy_weights())
-    support = G.rho > 0.0  # certified: rho finite, near 1
-    log_q0 = np.log(np.where(support, G.rho, 1.0)) + G.log_p0
+    log_q0 = np.log(G.rho) + G.log_p0  # certified: every rho_m near 1
+    ones = np.ones(system.size)  # q @ ones rounds the row sums as the reports pin them
     positive = np.empty(size, dtype=bool)
     dq, ds, j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(6))
     for lo in range(0, size, BLOCK_ROWS):
@@ -319,7 +319,7 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
         ds[rows] = np.sum(p * (log_p - log_d), axis=1) - np.sum(q * (log_q - log_d), axis=1)
         j_heat[rows] = p @ G.rho
         positive[rows] = p.min(axis=1) > 0.0
-        j_general[rows] = q @ support
+        j_general[rows] = q @ ones
         kl_after[rows] = np.sum(q * (log_q - log_q0), axis=1)
         kl_before[rows] = np.sum(p * (log_p - G.log_p0), axis=1)
     j_general[~positive] = kl_after[~positive] = kl_before[~positive] = np.nan

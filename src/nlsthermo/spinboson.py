@@ -15,15 +15,17 @@ Two independent constructions of the same matrix live here:
   invariant blocks as stacked arrays on a truncated oscillator space and
   time-averages exactly through eigenprojector sandwiches.
 
-The invariant blocks are one singlet (the bottom state, annihilated by the
-interaction), one doublet, and a ladder of triplets; within each block the
-spectrum is simple for any nonzero coupling, which makes the time average a
-finite sum of projector terms.  The construction is independent of the
-coupling strength, which the tests use as a consistency knob.
+The resonant ladder lam (S+ a + S- a^dagger) conserves m + n, so for any spin
+every invariant block is a Jacobi matrix with a constant diagonal (Jaynes and
+Cummings, Proc. IEEE 51, 89, 1963, for spin 1/2).  Its spectrum is simple for
+any nonzero coupling, so the time average is a finite sum of projector terms
+that does not depend on the coupling strength, which the tests use as a
+consistency knob.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ from .core import (
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
-    _float_array,
 )
 from .fluctuation import grid_pass
 
@@ -54,8 +55,6 @@ __all__ = [
     "analytic_entries",
     "numerical_transition_matrix",
     "spin1_gibbs_matrix",
-    "triplet_block",
-    "triplet_eigenvalues",
     "delta_s_argmax",
 ]
 
@@ -70,7 +69,8 @@ BLOCK_GAP_TOL = 1e-10
 MAX_CUTOFF = 41_446_533
 _ORACLE_MIN_BETA0 = 1e-6
 
-#: triplet blocks per stacked diagonalization, which keeps every array O(chunk)
+#: full blocks per stacked diagonalization, which keeps every array of the
+#: oracle O(chunk levels^2) for any beta0
 _CHUNK = 1024
 
 #: betas per bracket round of :func:`delta_s_argmax`; each round shrinks the
@@ -134,30 +134,6 @@ class SpinBosonParams:
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "n_max", n_max)
-
-
-def triplet_block(n, lam: float) -> np.ndarray:
-    """Hamiltonian of the n-th three-dimensional invariant block, spanned by
-    |1, n-1>, |0, n>, |-1, n+1>: diagonal n + 1/2 and couplings
-    lam sqrt(2n), lam sqrt(2n + 2).  An array of n gives the stack of blocks,
-    shape n.shape + (3, 3)."""
-    n = _float_array(n, "n")
-    if (n < 1).any():
-        raise InvalidInputError("triplet index starts at 1")
-    blocks = np.zeros(n.shape + (3, 3))
-    blocks[..., [0, 1, 2], [0, 1, 2]] = (n + 0.5)[..., None]
-    blocks[..., 0, 1] = blocks[..., 1, 0] = lam * np.sqrt(2.0 * n)
-    blocks[..., 1, 2] = blocks[..., 2, 1] = lam * np.sqrt(2.0 * n + 2.0)
-    blocks.setflags(write=False)
-    return blocks
-
-
-def triplet_eigenvalues(n: int, lam: float) -> np.ndarray:
-    """Closed-form block spectrum {n + 1/2, n + 1/2 +/- lam sqrt(4n + 2)},
-    sorted ascending for lam > 0."""
-    center = n + 0.5
-    split = float(lam) * math.sqrt(4.0 * n + 2.0)
-    return np.sort(np.array([center - split, center, center + split]))
 
 
 #: terms of both series in :func:`lerch_phi` (coefficients 4/(2k+3)^2, 1/(2k+1)^2)
@@ -249,11 +225,11 @@ def spin1_gibbs_matrix(beta0: float) -> GibbsMatrix:
 
 def _block_mixture(blocks: np.ndarray) -> np.ndarray:
     """Within-block transition kernels of the exact time average for a
-    stack of real symmetric blocks (or one): eigenprojector sandwiches
-    M[j,i] = sum_k V[i,k]^2 V[j,k]^2, valid only for a simple spectrum, so
-    near-collisions are rejected."""
+    stack of real symmetric blocks (or one, 1 x 1 included): eigenprojector
+    sandwiches M[j,i] = sum_k V[i,k]^2 V[j,k]^2, valid only for a simple
+    spectrum, so near-collisions are rejected."""
     evals, vecs = np.linalg.eigh(blocks)
-    if np.diff(evals, axis=-1).min() < BLOCK_GAP_TOL:
+    if np.diff(evals, axis=-1).min(initial=np.inf) < BLOCK_GAP_TOL:
         raise DegenerateBlockError(
             f"block eigenvalues closer than {BLOCK_GAP_TOL:g}; "
             "time average is ill-defined")
@@ -261,36 +237,59 @@ def _block_mixture(blocks: np.ndarray) -> np.ndarray:
     return w @ np.swapaxes(w, -1, -2)
 
 
-def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
-    """Transition matrix from exactly time-averaged unitary dynamics.
+def _ladder_blocks(levels: int, n0: np.ndarray, lam: float) -> np.ndarray:
+    """Stack of invariant blocks of a spin with ``levels`` = 2s + 1 levels
+    (index i <-> m = s - i) on the resonant ladder lam (S+ a + S- a^dagger).
+    The block with top oscillator index n0 spans the states |i, n0 + i> with
+    n0 + i >= 0: every n0 of one stack must start at the same i.  Its
+    diagonal is the constant energy s + n0 + 1/2, its couplings between
+    i - 1 and i are lam sqrt(i (levels - i)) sqrt(n0 + i)."""
+    i = np.arange(max(1, 1 - int(n0[0])), levels)  # the lower state of each coupling
+    k = np.arange(i.size + 1)
+    blocks = np.zeros((n0.size, k.size, k.size))
+    blocks[:, k, k] = (0.5 * levels + n0)[:, None]
+    # formed as (coupling, block), so each ufunc loop runs along the stack
+    blocks[:, k[1:], k[:-1]] = blocks[:, k[:-1], k[1:]] = lam * np.sqrt(
+        (i * (levels - i))[:, None] * (n0 + i[:, None])).T
+    return blocks
+
+
+def _ladder_oracle(levels: int, params: SpinBosonParams) -> np.ndarray:
+    """Transition matrix of a spin with ``levels`` levels (energies s - i)
+    from exactly time-averaged unitary dynamics.
 
     Initial states are products of a spin level with the truncated,
-    renormalized oscillator Gibbs distribution.  Each product basis state
-    lives in exactly one invariant block (singlet, doublet, or triplet);
-    summing the within-block kernels weighted by the oscillator occupation
-    gives the 3x3 spin transition matrix.  The triplets are diagonalized in
-    stacks of ``_CHUNK`` blocks, so memory stays O(chunk) for any beta0; the
-    stacks add up in a fixed order, so repeated runs agree bit for bit.
-
-    The result does not depend on the coupling strength in
-    ``params.lam``; time averaging removes it.
+    renormalized oscillator Gibbs distribution; each lies in one block:
+    ``levels - 1`` partial ones (n0 < 0), then n0 = 0 .. n_max in stacks of
+    ``_CHUNK``.  The kernels weighted by the occupation give the downhill
+    entries T[j, i], j > i.  The kernels are symmetric, so the uphill entries
+    are T[i, j] = T[j, i] e^{-beta0 (j - i)} exactly, and unit column sums give
+    the diagonal: the fixed point holds relatively, at any beta0.
     """
     n_max, beta0 = params.n_max, params.beta0
     # oscillator occupation e^{-beta0 k} / Z of the Gibbs state truncated at n_max
     norm = math.expm1(-beta0) / math.expm1(-beta0 * (n_max + 1))
-    t = np.zeros((3, 3))
-    # doublet {|0, 0>, |-1, 1>}: equal diagonal, so every kernel entry is 1/2
-    t[1:, 1:] = 0.5 * norm * np.exp([0.0, -beta0])
-    # singlet |-1, 0>: the interaction annihilates it
-    t[2, 2] += norm
-    # triplets up to n_max + 1 so every kept initial state has its full block
-    for start in range(1, n_max + 2, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, n_max + 2))
-        # basis vector i of block n: spin index i, oscillator index n - 1 + i
-        osc = n[:, None] + np.arange(-1.0, 2.0)
+    partial = (np.array([n0]) for n0 in range(1 - levels, 0))
+    full = (np.arange(lo, min(lo + _CHUNK, n_max + 1)) for lo in range(0, n_max + 1, _CHUNK))
+    t = np.zeros((levels, levels))
+    for n0 in itertools.chain(partial, full):
+        kernels = _block_mixture(_ladder_blocks(levels, n0, params.lam))
+        first = levels - kernels.shape[-1]
+        osc = n0[:, None] + np.arange(first, levels)
         weights = np.where(osc <= n_max, norm * np.exp(-beta0 * osc), 0.0)
-        t += np.einsum("bji,bi->ji", _block_mixture(triplet_block(n, params.lam)), weights)
-    return TransitionMatrix(t)
+        t[first:, first:] += np.einsum("bji,bi->ji", kernels, weights)
+    i = np.arange(levels)
+    t = np.tril(t, -1)
+    t += t.T * np.exp(-beta0 * np.abs(i[:, None] - i))
+    t[i, i] = 1.0 - t.sum(axis=0)
+    return t
+
+
+def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
+    """The example's matrix from time-averaged dynamics: the three-level
+    :func:`_ladder_oracle`, bit for bit the same on every run and independent
+    of the coupling ``params.lam``."""
+    return TransitionMatrix(_ladder_oracle(3, params))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nlsthermo.core import LevelSystem
 from nlsthermo.genrand import random_gibbs_instance
-from nlsthermo.spinboson import analytic_entries, spin1_level_system
+from nlsthermo.spinboson import (SpinBosonParams, _ladder_oracle, analytic_entries,
+                                 spin1_level_system)
 
 
 @st.composite
@@ -35,3 +36,18 @@ def random_instances():
 def spin1_instances():
     return st.builds(lambda beta0: (spin1_level_system(), analytic_entries(beta0), beta0),
                      st.floats(1e-3, 10.0))
+
+
+def ladder_system(levels):
+    """The levels of a spin s = (levels - 1)/2 in (m = s, ..., -s) order:
+    energies m, all nondegenerate."""
+    return LevelSystem((levels - 1) / 2 - np.arange(levels), np.ones(levels, dtype=int))
+
+
+def ladder_instances():
+    """The spin-oscillator ladder's oracle matrix for spins 1/2 to 7/2, a
+    physical family with N > 3 (a few ms per draw)."""
+    return st.builds(
+        lambda levels, beta0: (ladder_system(levels),
+                               _ladder_oracle(levels, SpinBosonParams(beta0)), beta0),
+        st.integers(2, 8), st.floats(0.1, 10.0))

@@ -41,7 +41,7 @@ from nlsthermo.core import (
 from nlsthermo.fluctuation import grid_pass
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.response import cumulant_deviation
-from nlsthermo.spinboson import spin1_gibbs_matrix, spin1_level_system, triplet_block
+from nlsthermo.spinboson import spin1_gibbs_matrix, spin1_level_system
 
 
 EPS = np.finfo(float).eps
@@ -139,10 +139,8 @@ class TestTypeValidation:
             TransitionMatrix(np.eye(2)), ProbabilityVector([0.5, 0.5])), bad), "table"),
         (lambda bad: grid_pass(random_gibbs_instance(3, 0), bad), "betas"),
         (lambda bad: cumulant_deviation(spin1_gibbs_matrix(1.0), bad), "t"),
-        (lambda bad: triplet_block(bad, 1.0), "n"),
     ], ids=["transition", "certify", "energies", "degeneracies", "weights", "joint",
-            "entropy", "kl", "gibbs-beta", "expectation", "grid-betas", "cumulant-t",
-            "triplet-n"])
+            "entropy", "kl", "gibbs-beta", "expectation", "grid-betas", "cumulant-t"])
     def test_ragged_or_non_numeric_input_is_an_input_error_naming_it(self, build, name,
                                                                      bad):
         # numpy's own ValueError would fall outside the package's two error bases

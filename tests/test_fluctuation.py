@@ -43,7 +43,8 @@ from nlsthermo.fluctuation import (
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.spinboson import spin1_gibbs_matrix
-from strategies import metropolis_instances, random_instances, spin1_instances
+from strategies import (ladder_instances, metropolis_instances, random_instances,
+                        spin1_instances)
 
 
 def positive_distribution(n, rng):
@@ -509,7 +510,8 @@ class TestGridSuites:
 
 
 class TestRelativeFixedPoint:
-    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()))
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
+                     ladder_instances()))
     @settings(max_examples=400, deadline=None)
     def test_certified_instances_keep_the_lines_the_ratio_bounds(self, instance):
         """On a certified instance's default grid (201 points over

@@ -37,7 +37,8 @@ from nlsthermo.response import (
     weak_coupling_residual,
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
-from strategies import metropolis_instances, random_instances, spin1_instances
+from strategies import (ladder_instances, metropolis_instances, random_instances,
+                        spin1_instances)
 
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -171,7 +172,8 @@ class TestGridFiniteDifference:
     def test_random_instances_match_the_scalar_reference(self, n, seed):
         assert_grid_slopes_match_the_scalar_reference(random_gibbs_instance(n, seed))
 
-    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()))
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
+                     ladder_instances()))
     @settings(max_examples=300, deadline=None)
     def test_drawn_instances_match_the_scalar_reference(self, instance):
         system, raw, beta0 = instance
@@ -196,7 +198,8 @@ class TestUnitCovariance:
     rho are unchanged, and each slope route is 2^k times its old value, bit
     for bit: a power-of-two scale is exact in binary floating point."""
 
-    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances()),
+    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
+                     ladder_instances()),
            st.integers(-20, 20))
     @settings(max_examples=300, deadline=None)
     def test_tangents_and_direct_scale_exactly(self, instance, k):

@@ -1,4 +1,5 @@
-"""The exactly solvable spin-1 / oscillator example and its two routes."""
+"""The exactly solvable spin-1 / oscillator example, its two routes, and the
+ladder oracle for other spins."""
 
 import math
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from nlsthermo import fluctuation, spinboson
-from nlsthermo.core import InvalidInputError, certify_gibbs_matrix, make_gibbs_state, propagate
-from nlsthermo.fluctuation import heat_and_entropy_change
+from nlsthermo.core import (GibbsMatrix, InvalidInputError, TransitionMatrix,
+                            certify_gibbs_matrix, make_gibbs_state, propagate)
+from nlsthermo.fluctuation import (grid_pass, heat_and_entropy_change, inequality_suite,
+                                   jequation_suite)
+from nlsthermo.response import cumulant_suite, slope_suite
 from nlsthermo.spinboson import (
     _CHUNK,
     MAX_BETA0,
@@ -17,6 +21,8 @@ from nlsthermo.spinboson import (
     DegenerateBlockError,
     SpinBosonParams,
     _block_mixture,
+    _ladder_blocks,
+    _ladder_oracle,
     analytic_entries,
     analytic_transition_matrix,
     delta_s_argmax,
@@ -25,9 +31,8 @@ from nlsthermo.spinboson import (
     numerical_transition_matrix,
     spin1_gibbs_matrix,
     spin1_level_system,
-    triplet_block,
-    triplet_eigenvalues,
 )
+from strategies import ladder_system
 
 # pinned with a 50-digit arbitrary-precision evaluation before this module
 # was written; the float64 targets are exact round-trips of those values
@@ -212,9 +217,17 @@ class TestParams:
             SpinBosonParams(beta0=1.0, n_max=MAX_CUTOFF + 1)
 
 
-class TestTripletBlocks:
+def triplet_eigenvalues(n, lam):
+    """Closed-form spectrum {n + 1/2, n + 1/2 +/- lam sqrt(4n + 2)} of the
+    spin-1 block with top state |1, n - 1>, sorted ascending for lam > 0."""
+    split = lam * math.sqrt(4.0 * n + 2.0)
+    return np.array([n + 0.5 - split, n + 0.5, n + 0.5 + split])
+
+
+class TestLadderBlocks:
     def test_matrix_layout(self):
-        block = triplet_block(3, 0.8)
+        # spin 1, top state |1, 2>: spans |1, 2>, |0, 3>, |-1, 4>
+        (block,) = _ladder_blocks(3, np.array([2]), 0.8)
         expected = np.array([
             [3.5, 0.8 * math.sqrt(6.0), 0.0],
             [0.8 * math.sqrt(6.0), 3.5, 0.8 * math.sqrt(8.0)],
@@ -222,21 +235,38 @@ class TestTripletBlocks:
         ])
         np.testing.assert_allclose(block, expected, rtol=1e-15)
 
+    @pytest.mark.parametrize("levels", [2, 3, 4, 7])
+    def test_blocks_restrict_the_ladder_hamiltonian(self, levels):
+        """Every block, partial ones included, is the Hamiltonian
+        S_z + a^dagger a + 1/2 + lam (S+ a + S- a^dagger), built from
+        Kronecker products on 12 oscillator states, restricted to the
+        states |i, n0 + i>."""
+        s, lam, fock = (levels - 1) / 2, 0.6, 12
+        m = s - np.arange(levels)
+        s_plus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
+        a = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
+        h = (np.kron(np.diag(m), np.eye(fock))
+             + np.kron(np.eye(levels), a.T @ a + 0.5 * np.eye(fock))
+             + lam * (np.kron(s_plus, a) + np.kron(s_plus.T, a.T)))
+        for n0 in range(1 - levels, fock - levels + 1):
+            states = [i * fock + n0 + i for i in range(levels) if n0 + i >= 0]
+            (block,) = _ladder_blocks(levels, np.array([n0]), lam)
+            np.testing.assert_allclose(block, h[np.ix_(states, states)], rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("lam", [0.7, 1.3])
     def test_closed_form_eigenvalues(self, lam):
-        for n in range(1, 42):
-            computed = np.linalg.eigvalsh(triplet_block(n, lam))
-            np.testing.assert_allclose(computed, triplet_eigenvalues(n, lam),
+        blocks = _ladder_blocks(3, np.arange(41), lam)
+        for n, block in enumerate(blocks, start=1):
+            np.testing.assert_allclose(np.linalg.eigvalsh(block), triplet_eigenvalues(n, lam),
                                        rtol=0, atol=1e-10)
-
-    def test_index_starts_at_one(self):
-        with pytest.raises(InvalidInputError):
-            triplet_block(0, 1.0)
 
     def test_degenerate_block_is_rejected(self):
         nearly = np.array([[0.5, 1e-12], [1e-12, 0.5]])
         with pytest.raises(DegenerateBlockError):
             _block_mixture(nearly)
+
+    def test_one_by_one_block_keeps_its_state(self):
+        assert _block_mixture(np.array([[[2.5]]])).tolist() == [[[1.0]]]
 
 
 class TestNumericalOracle:
@@ -271,7 +301,7 @@ class TestNumericalOracle:
 
     @pytest.mark.parametrize("n_max", [_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_chunk_seams(self, n_max):
-        # triplets n = 1 .. n_max + 1 fill one stack, exactly one, or spill over
+        # full blocks n0 = 0 .. n_max fill one stack, exactly one, or spill over
         numeric = numerical_transition_matrix(SpinBosonParams(beta0=0.1, n_max=n_max))
         np.testing.assert_allclose(numeric.entries.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         analytic = analytic_transition_matrix(0.1)
@@ -279,7 +309,7 @@ class TestNumericalOracle:
 
     @pytest.mark.parametrize("chunk", [1, 7, 301])
     def test_stack_size_does_not_change_the_result(self, monkeypatch, chunk):
-        # n_max = 300 at beta0 = 0.1, so chunk 301 ends one triplet short
+        # n_max = 300 at beta0 = 0.1, so chunk 301 holds all 301 full blocks
         params = SpinBosonParams(beta0=0.1)
         reference = numerical_transition_matrix(params).entries
         monkeypatch.setattr(spinboson, "_CHUNK", chunk)
@@ -293,11 +323,49 @@ class TestNumericalOracle:
         assert np.abs(numeric.entries - analytic.entries).max() <= 1e-12
 
     def test_stacked_kernels_match_one_block_at_a_time(self):
-        blocks = triplet_block(np.arange(1, 6), 0.9)
+        blocks = _ladder_blocks(3, np.arange(5), 0.9)
         stacked = _block_mixture(blocks)
         for block, kernel in zip(blocks, stacked):
             np.testing.assert_allclose(kernel, _block_mixture(block), rtol=0, atol=1e-15)
             np.testing.assert_allclose(kernel.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta0", [1e-3, 0.01, 0.1, 1.0, 5.0, 10.0, 12.0, 20.0, 30.0, 40.0])
+    def test_certifies_relatively_also_where_the_closed_form_fails(self, beta0):
+        # the closed form stops certifying near beta0 = 10.5
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=beta0))
+        G = GibbsMatrix(numeric, spin1_level_system(), beta0)
+        assert np.abs(G.rho - 1.0).max() <= 1e-14
+
+
+class TestLadderOracle:
+    """The oracle for other spins: detailed balance makes every matrix hold
+    its Gibbs state fixed to rounding, however far the weights spread."""
+
+    @pytest.mark.parametrize("beta0", [0.1, 1.0, 3.0])
+    def test_spin_one_half_matches_the_closed_form(self, beta0):
+        half = math.exp(-beta0) / 2.0
+        expected = np.array([[0.5, half], [0.5, 1.0 - half]])
+        t = _ladder_oracle(2, SpinBosonParams(beta0=beta0))
+        assert np.abs(t - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("levels, beta0", [
+        (levels, beta0) for beta0 in (0.1, 1.0, 5.0)
+        for levels in (2, 3, 4, 5, 8, 12, 21, 33, 50)
+    ] + [(levels, 0.01) for levels in (2, 3, 4, 5, 8, 12, 21)])
+    def test_certifies_and_passes_every_verify_line(self, levels, beta0):
+        G = GibbsMatrix(TransitionMatrix(_ladder_oracle(levels, SpinBosonParams(beta0=beta0))),
+                        ladder_system(levels), beta0)
+        assert np.abs(G.rho - 1.0).max() <= 1e-14
+        grid = grid_pass(G, np.linspace(-5.0 * beta0, 5.0 * beta0, 201))
+        lines = (jequation_suite(grid) + inequality_suite(grid) + slope_suite(G)
+                 + cumulant_suite(G))
+        assert [line.label for line in lines if not line.holds] == []
+
+    def test_coupling_independence(self):
+        params = [SpinBosonParams(beta0=1.0, lam=lam) for lam in (0.3, 1.0, 2.0)]
+        results = [_ladder_oracle(6, p) for p in params]
+        for other in results[1:]:
+            assert np.abs(other - results[0]).max() <= 1e-10
 
 
 def golden_section_argmax(beta0):

@@ -136,12 +136,10 @@ def cmd_verify(args) -> int:
     checks, G = (certify_gibbs_matrix(raw, system, beta0) if G is None
                  else (list(G.certification), G))
     if G is not None:
-        if "jequation" in suites or "inequalities" in suites:
-            grid = grid_pass(G, betas)
         if "jequation" in suites:
-            checks += jequation_suite(grid)
+            checks += jequation_suite(G)
         if "inequalities" in suites:
-            checks += inequality_suite(grid)
+            checks += inequality_suite(grid_pass(G, betas))
         if "slopes" in suites:
             checks += slope_suite(G)
         if "cumulant" in suites:

@@ -20,13 +20,17 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
-:func:`grid_pass` evaluates every per-point line (<dQ>, <dS>, both J values,
-both KL sides) over a beta grid as arrays, a block of beta rows at a time;
-the suites :func:`jequation_suite` and :func:`inequality_suite` reduce them
-to worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
-values (the sweep, the entropy argmax and the finite-difference ``slope_numeric``
-read its rows too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
-:func:`j_heat_expectation`, :func:`clausius_bounds`, ...) are its reference.
+:func:`jequation_suite` reads both J-equations from the certification: at
+every beta each J value is a convex combination of the fixed-point ratios
+or of the column sums.  :func:`grid_pass` evaluates the lines the
+inequalities need (<dQ>, <dS>, both KL sides) over a beta grid as arrays, a
+block of beta rows at a time; :func:`inequality_suite` reduces them to
+worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
+values (the sweep, the entropy argmax and ``slope_numeric`` read its rows
+too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
+:func:`clausius_bounds`, ...) are its reference, and
+:func:`j_heat_expectation` and :func:`general_j_expectation` keep the
+J-equations' double sums.
 """
 
 from __future__ import annotations
@@ -166,7 +170,8 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     is assembled in log space (log T + log p_n - (beta - beta0)(E_m - E_n))
     and exponentiated individually.  The large exponents of wide sweeps
     should cancel, but near |beta| = 1e300 their rounding alone can exceed
-    the double range, and the value is then inf (:func:`grid_pass` is not).
+    the double range, and the value is then inf (the bound
+    :func:`jequation_suite` reads from the certification is not).
     """
     log_p, _ = gibbs_log_weights(G.system, beta)
     dbeta = float(beta) - G.beta0
@@ -263,40 +268,27 @@ def bistochastic_work_check(T: TransitionMatrix, system: LevelSystem,
 
 @dataclass(frozen=True, eq=False)
 class GridPass:
-    """Per-point arrays of :func:`grid_pass`: <dQ>, <dS> and the heat J value
-    everywhere, and the general J value (ptilde = q) and the KL sides
-    S(Tp || Tp0), S(p || p0) where p > 0 everywhere (``positive``), NaN
-    elsewhere."""
+    """Per-point arrays of :func:`grid_pass`, on every beta: <dQ>, <dS> and
+    the KL sides S(Tp || Tp0), S(p || p0)."""
 
     beta0: float
     betas: np.ndarray
     dq: np.ndarray
     ds: np.ndarray
-    positive: np.ndarray
-    j_heat: np.ndarray
-    j_general: np.ndarray
     kl_after: np.ndarray
     kl_before: np.ndarray
 
 
 def grid_pass(G: GibbsMatrix, betas) -> GridPass:
-    """Evaluate every line of a beta grid as arrays, ``BLOCK_ROWS`` rows at a time.
+    """Evaluate the per-point lines of a beta grid, ``BLOCK_ROWS`` rows at a time.
 
     Each block holds log p (one :func:`gibbs_log_weights` call, whose rows
     are bit for bit its per-beta values; a non-finite beta raises there), p
     and q = clip(T p) as rows, and the logs of p and q (0 log 0 = 0), taken
-    once: <dQ>, <dS> and both KL sides are row reductions of them.
-    Since p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) / Z(beta), the heat J
-    double sum sum_{m,n} T[m,n] p_n e^{-(beta-beta0)(E_m-E_n)} is exactly
-    p @ rho with rho = T p0 / p0, and |J - 1| <= max_m |rho_m - 1|: at every
-    beta the line certifies what the fixed-point rule implies.  rho and
-    log p0 come from the certified table ``G.rho``, ``G.log_p0``, so
-    log q0 = log rho + log p0 and both KL sides stay exact where p0 is
-    subnormal or underflows.  The general J value with ptilde = q is
-    sum_m q_m (T p0)_m / q0_m, the row sum of q, since certification keeps
-    every rho_m near 1: one up to the rounding of that sum.
-    :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
-    double sums and stay the reference, agreeing to rounding, not bit for bit.
+    once: <dQ>, <dS> and both KL sides are row reductions of them.  log p0
+    and rho = T p0 / p0 come from the certified table ``G.log_p0``,
+    ``G.rho``, so log q0 = log rho + log p0 is finite, and so are both KL
+    sides on every row, where a weight of p or p0 underflows to 0 too.
     """
     betas = _float_array(betas, "betas")
     if betas.ndim != 1:
@@ -304,9 +296,7 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
     system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
     energies, log_d = system.energies, np.log(system.degeneracy_weights())
     log_q0 = np.log(G.rho) + G.log_p0  # certified: every rho_m near 1
-    ones = np.ones(system.size)  # q @ ones rounds the row sums as the reports pin them
-    positive = np.empty(size, dtype=bool)
-    dq, ds, j_heat, j_general, kl_after, kl_before = (np.empty(size) for _ in range(6))
+    dq, ds, kl_after, kl_before = (np.empty(size) for _ in range(4))
     for lo in range(0, size, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         log_p, _ = gibbs_log_weights(system, betas[rows])
@@ -317,13 +307,9 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
         log_p, log_q = (np.log(np.where(w > 0.0, w, 1.0)) for w in (p, q))
         dq[rows] = q @ energies - p @ energies
         ds[rows] = np.sum(p * (log_p - log_d), axis=1) - np.sum(q * (log_q - log_d), axis=1)
-        j_heat[rows] = p @ G.rho
-        positive[rows] = p.min(axis=1) > 0.0
-        j_general[rows] = q @ ones
         kl_after[rows] = np.sum(q * (log_q - log_q0), axis=1)
         kl_before[rows] = np.sum(p * (log_p - G.log_p0), axis=1)
-    j_general[~positive] = kl_after[~positive] = kl_before[~positive] = np.nan
-    return GridPass(G.beta0, betas, dq, ds, positive, j_heat, j_general, kl_after, kl_before)
+    return GridPass(G.beta0, betas, dq, ds, kl_after, kl_before)
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
@@ -332,24 +318,29 @@ def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
     return compare(f"{label} [beta={betas[i]:.17g}]", lhs[i], rhs[i])
 
 
-def jequation_suite(grid: GridPass) -> list[InequalityReport]:
-    """Largest |value - 1| of both J-equations over a pass (0 for an empty
-    set).  A NaN heat value fails its line; general values count only where
-    ``positive``."""
-    heat, general = (float(np.max(np.abs(j - 1.0), initial=0.0))
-                     for j in (grid.j_heat, grid.j_general[grid.positive]))
+def jequation_suite(G: GibbsMatrix) -> list[InequalityReport]:
+    """Both J-equations at every beta, read from the certification of ``G``.
+
+    With p0 the Gibbs state at beta0 and rho = T p0 / p0, the heat value is
+    exactly p @ rho at any beta (p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) /
+    Z(beta)), a convex combination of rho; the general value with ptilde = q
+    is sum_n p_n (column sum)_n.  So max |rho - 1| and max |column sum - 1|,
+    the values of two certification lines, bound |J - 1| on every grid, and
+    each line compares its bound with ``J_EQUATION_TOL``.
+    """
+    column_sum, fixed_point, _ = G.certification
     return [
-        compare("j-equation (heat): max |<e^{-(beta-beta0) dQ}> - 1| over grid",
-                heat, J_EQUATION_TOL),
-        compare("j-equation (general, ptilde = q): max |value - 1| over grid",
-                general, J_EQUATION_TOL),
+        compare("j-equation (heat): max |rho - 1| bounds "
+                "|<e^{-(beta-beta0) dQ}> - 1| at every beta", fixed_point.lhs, J_EQUATION_TOL),
+        compare("j-equation (general, ptilde = q): max |column sum - 1| bounds "
+                "|value - 1| at every beta", column_sum.lhs, J_EQUATION_TOL),
     ]
 
 
 def inequality_suite(grid: GridPass) -> list[InequalityReport]:
     """Worst slack of each inequality over a pass.  Entropy flow is checked
-    where beta >= 0 (if beta0 > 0), KL contraction where p > 0; an
-    inequality is left out when no point qualifies."""
+    where beta >= 0 (if beta0 > 0), the others on every beta; an inequality
+    is left out when no point qualifies."""
     betas, dq, ds, beta0 = grid.betas, grid.dq, grid.ds, grid.beta0
     every = np.ones(betas.shape, dtype=bool)
     zero = np.zeros(betas.shape)
@@ -365,7 +356,7 @@ def inequality_suite(grid: GridPass) -> list[InequalityReport]:
             ("entropy flow direction: worst (beta-beta0)<dS>, beta >= 0",
              (betas >= 0.0) & (beta0 > 0.0), zero, (betas - beta0) * ds),
             ("KL contraction: worst slack of S(Tp||Tp0) <= S(p||p0)",
-             grid.positive, grid.kl_after, grid.kl_before),
+             every, grid.kl_after, grid.kl_before),
         ]
         return [_worst(label, betas[at], lhs[at], rhs[at])
                 for label, at, lhs, rhs in table if at.any()]

@@ -225,11 +225,11 @@ def spin1_gibbs_matrix(beta0: float) -> GibbsMatrix:
 
 def _block_mixture(blocks: np.ndarray) -> np.ndarray:
     """Within-block transition kernels of the exact time average for a
-    stack of real symmetric blocks (or one, 1 x 1 included): eigenprojector
-    sandwiches M[j,i] = sum_k V[i,k]^2 V[j,k]^2, valid only for a simple
-    spectrum, so near-collisions are rejected."""
+    stack of real symmetric blocks, or one, each at least 2 x 2:
+    eigenprojector sandwiches M[j,i] = sum_k V[i,k]^2 V[j,k]^2, valid only
+    for a simple spectrum, so near-collisions are rejected."""
     evals, vecs = np.linalg.eigh(blocks)
-    if np.diff(evals, axis=-1).min(initial=np.inf) < BLOCK_GAP_TOL:
+    if np.diff(evals, axis=-1).min() < BLOCK_GAP_TOL:
         raise DegenerateBlockError(
             f"block eigenvalues closer than {BLOCK_GAP_TOL:g}; "
             "time average is ill-defined")
@@ -260,16 +260,17 @@ def _ladder_oracle(levels: int, params: SpinBosonParams) -> np.ndarray:
 
     Initial states are products of a spin level with the truncated,
     renormalized oscillator Gibbs distribution; each lies in one block:
-    ``levels - 1`` partial ones (n0 < 0), then n0 = 0 .. n_max in stacks of
-    ``_CHUNK``.  The kernels weighted by the occupation give the downhill
-    entries T[j, i], j > i.  The kernels are symmetric, so the uphill entries
-    are T[i, j] = T[j, i] e^{-beta0 (j - i)} exactly, and unit column sums give
-    the diagonal: the fixed point holds relatively, at any beta0.
+    ``levels - 2`` partial ones (n0 = 2 - levels .. -1; the 1 x 1 block
+    n0 = 1 - levels adds only to the diagonal), then n0 = 0 .. n_max in
+    stacks of ``_CHUNK``.  The kernels weighted by the occupation give the
+    downhill entries T[j, i], j > i.  The kernels are symmetric, so the uphill
+    entries are T[i, j] = T[j, i] e^{-beta0 (j - i)} exactly, and unit column
+    sums give the diagonal: the fixed point holds relatively, at any beta0.
     """
     n_max, beta0 = params.n_max, params.beta0
     # oscillator occupation e^{-beta0 k} / Z of the Gibbs state truncated at n_max
     norm = math.expm1(-beta0) / math.expm1(-beta0 * (n_max + 1))
-    partial = (np.array([n0]) for n0 in range(1 - levels, 0))
+    partial = (np.array([n0]) for n0 in range(2 - levels, 0))
     full = (np.arange(lo, min(lo + _CHUNK, n_max + 1)) for lo in range(0, n_max + 1, _CHUNK))
     t = np.zeros((levels, levels))
     for n0 in itertools.chain(partial, full):

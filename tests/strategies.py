@@ -11,21 +11,27 @@ from nlsthermo.spinboson import (SpinBosonParams, _ladder_oracle, analytic_entri
                                  spin1_level_system)
 
 
+def metropolis_entries(system, beta0):
+    """A Metropolis chain (Metropolis et al., J. Chem. Phys. 21, 1953) with a
+    uniform proposal: T[m, n] = min(1, p0_m / p0_n) / N off the diagonal,
+    which holds the Gibbs state fixed by detailed balance."""
+    n = system.size
+    log_w = np.log(system.degeneracy_weights()) - beta0 * system.energies
+    t = np.exp(np.minimum(0.0, log_w[:, None] - log_w[None, :])) / n
+    np.fill_diagonal(t, 0.0)
+    t[np.diag_indices(n)] = 1.0 - t.sum(axis=0)
+    return t
+
+
 @st.composite
 def metropolis_instances(draw):
-    """(system, T, beta0) of a Metropolis chain (Metropolis et al., J. Chem.
-    Phys. 21, 1953) with a uniform proposal: T[m, n] = min(1, p0_m / p0_n) / N
-    off the diagonal, which holds the Gibbs state fixed by detailed balance."""
+    """(system, T, beta0) of a :func:`metropolis_entries` chain."""
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     beta0 = draw(st.floats(1e-2, 30.0))
     spread = draw(st.floats(1e-2, 1e2))
     system = LevelSystem(spread * rng.uniform(size=n), rng.integers(1, 5, size=n))
-    log_w = np.log(system.degeneracy_weights()) - beta0 * system.energies
-    t = np.exp(np.minimum(0.0, log_w[:, None] - log_w[None, :])) / n
-    np.fill_diagonal(t, 0.0)
-    t[np.diag_indices(n)] = 1.0 - t.sum(axis=0)
-    return system, t, beta0
+    return system, metropolis_entries(system, beta0), beta0
 
 
 def random_instances():

@@ -637,6 +637,28 @@ class TestOneEvaluator:
         assert run_cli(*argv) == 0
         assert calls == []
 
+    @pytest.mark.parametrize("suites, passes", [
+        (("jequation",), 0),
+        (("jequation", "slopes", "cumulant"), 0),
+        (("inequalities",), 1),
+        ((), 1),
+    ], ids=["jequation", "no-inequalities", "inequalities", "all"])
+    def test_only_the_inequality_suite_reads_a_grid(self, suites, passes, monkeypatch,
+                                                     capsys):
+        """The J lines come from the certification, so verify forms the grid
+        once for the inequality suite and not otherwise."""
+        calls = []
+        for module in (cli, response, spinboson):
+            original = module.grid_pass
+            monkeypatch.setattr(module, "grid_pass", lambda *args, _original=original:
+                                calls.append(1) or _original(*args))
+        argv = ["verify", "--random", "8"] + [f"--suite={suite}" for suite in suites]
+        assert run_cli(*argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(calls) == passes
+        assert any(c["label"].startswith("j-equation") for c in checks) == (
+            "jequation" in suites or not suites)
+
 
 class TestExitContract:
     @pytest.mark.parametrize("module", ["core", "fluctuation", "genrand", "response",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from nlsthermo.core import (
     certify_gibbs_matrix,
     entropy,
     gibbs_log_weights,
+    kl_divergence,
     make_gibbs_state,
     mean_energy,
     propagate,
@@ -27,7 +29,6 @@ from nlsthermo.core import (
 from nlsthermo.fluctuation import (
     BLOCK_ROWS,
     J_EQUATION_TOL,
-    GridPass,
     bistochastic_work_check,
     clausius_bounds,
     compare,
@@ -42,9 +43,13 @@ from nlsthermo.fluctuation import (
     kl_monotonicity_check,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
-from nlsthermo.spinboson import spin1_gibbs_matrix
-from strategies import (ladder_instances, metropolis_instances, random_instances,
-                        spin1_instances)
+from nlsthermo.spinboson import SpinBosonParams, _ladder_oracle, spin1_gibbs_matrix
+from strategies import (ladder_instances, ladder_system, metropolis_entries,
+                        metropolis_instances, random_instances, spin1_instances)
+
+
+#: unit roundoff of a double
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def positive_distribution(n, rng):
@@ -327,8 +332,8 @@ class TestBistochasticLimit:
 # ---------------------------------------------------------------------------
 
 # +/-800 drive some Gibbs weights of the wider spectra (spin-1, N = 3) to
-# exactly zero, so the p > 0 mask is hit both ways; the grid spans more than
-# one block of the pass
+# exactly zero, so the KL sides are read on rows with a zero weight too; the
+# grid spans more than one block of the pass
 WIDE_GRID = np.concatenate(([-800.0], np.linspace(-50.0, 50.0, BLOCK_ROWS + 45), [800.0]))
 GRID_CASES = [pytest.param(lambda n=n: random_gibbs_instance(n, 70 + n),
                            id=f"random-{n}") for n in (3, 8, 32, 96)]
@@ -348,24 +353,20 @@ def assert_close(batch, reference, scale=0.0):
 def per_point(G, betas):
     """The per-point functions over ``betas``, with the magnitudes each value
     cancels down from: E(q), E(p) for <dQ>, S(q), S(p) for <dS>, and the
-    cross entropy of each KL side."""
-    q0 = propagate(G.matrix, G.fixed_point).weights
+    cross entropy of each KL side.  The KL sides are the 0 log 0 = 0
+    divergences, so a row with a zero Gibbs weight has them too."""
+    q0 = propagate(G.matrix, G.fixed_point)
     rows = []
     for beta in betas.tolist():
         p = make_gibbs_state(G.system, beta)
         q = propagate(G.matrix, p)
         dq, ds = heat_and_entropy_change(G, beta)
-        positive = bool(p.weights.min() > 0.0)
-        if positive:
-            kl = kl_monotonicity_check(G.matrix, p, G.fixed_point)
-            general = general_j_expectation(G.matrix, p, G.fixed_point, q)
-            kl_scales = (-float(q.weights @ np.log(q0)),
-                         -float(p.weights @ np.log(G.fixed_point.weights)))
         rows.append((
             dq, max(abs(mean_energy(G.system, q)), abs(mean_energy(G.system, p))),
             ds, max(abs(entropy(G.system, q)), abs(entropy(G.system, p))),
-            j_heat_expectation(G, beta), positive,
-            *((general, kl.lhs, kl.rhs, *kl_scales) if positive else (np.nan,) * 5)))
+            kl_divergence(q, q0), kl_divergence(p, G.fixed_point),
+            -float(q.weights @ np.log(q0.weights)),
+            -float(p.weights @ np.log(G.fixed_point.weights))))
     return [np.array(column) for column in zip(*rows)]
 
 
@@ -374,29 +375,18 @@ class TestGridPass:
     def test_agrees_with_the_per_point_functions(self, build):
         G = build()
         grid = grid_pass(G, WIDE_GRID)
-        (dq, dq_scale, ds, ds_scale, j_heat, positive, j_general, kl_after, kl_before,
+        (dq, dq_scale, ds, ds_scale, kl_after, kl_before,
          after_scale, before_scale) = per_point(G, WIDE_GRID)
-        assert positive.any()
-        np.testing.assert_array_equal(grid.positive, positive)
         assert_close(grid.dq, dq, dq_scale)
         assert_close(grid.ds, ds, ds_scale)
-        assert_close(grid.j_heat, j_heat)
-        assert np.isnan(grid.j_general[~positive]).all()
-        assert np.isnan(grid.kl_after[~positive]).all()
-        assert np.isnan(grid.kl_before[~positive]).all()
-        assert_close(grid.j_general[positive], j_general[positive])
-        assert_close(grid.kl_after[positive], kl_after[positive], after_scale[positive])
-        assert_close(grid.kl_before[positive], kl_before[positive], before_scale[positive])
+        assert_close(grid.kl_after, kl_after, after_scale)
+        assert_close(grid.kl_before, kl_before, before_scale)
 
     def test_suites_report_the_worst_per_point_value(self, build):
         G = build()
         grid = grid_pass(G, WIDE_GRID)
-        heat, general = jequation_suite(grid)
-        assert heat.lhs == np.abs(grid.j_heat - 1.0).max()
-        assert max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID) <= J_EQUATION_TOL
-        assert heat.rhs == general.rhs == J_EQUATION_TOL
-        assert heat.holds and general.holds
         flow, lower, upper, entropy_flow, contraction = inequality_suite(grid)
+        _, _, _, _, kl_after, kl_before, _, _ = per_point(G, WIDE_GRID)
         per_point_slacks = [
             (flow, [heat_flow_check(G, b).slack for b in WIDE_GRID], WIDE_GRID),
             (lower, [clausius_bounds(G, b).lower.slack for b in WIDE_GRID], WIDE_GRID),
@@ -408,17 +398,57 @@ class TestGridPass:
             worst = int(np.argmin(slacks))
             assert report.label.endswith(f"[beta={betas[worst]:.17g}]")
             assert report.slack == pytest.approx(slacks[worst], abs=DIFF_TOL)
+        # KL slacks tie near beta0 up to rounding: the reported one is the least
         assert contraction.label.startswith("KL contraction")
+        assert contraction.slack == pytest.approx(min(kl_before - kl_after), abs=DIFF_TOL)
         assert all(c.holds for c in (flow, lower, upper, entropy_flow, contraction))
+
+    def test_j_lines_are_the_certified_bounds(self, build):
+        G = build()
+        column_sum, fixed_point, _ = G.certification
+        heat, general = jequation_suite(G)
+        assert (heat.lhs, general.lhs) == (fixed_point.lhs, column_sum.lhs)
+        assert heat.lhs == np.abs(G.rho - 1.0).max()
+        assert heat.rhs == general.rhs == J_EQUATION_TOL
+        assert heat.holds and general.holds
+        assert heat.label.startswith("j-equation (heat)")
+        assert general.label.startswith("j-equation (general, ptilde = q)")
+        # the per-point double sum stays within the tolerance on the wide grid
+        assert max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID) <= J_EQUATION_TOL
 
 
 class TestGridSuites:
     @pytest.mark.parametrize("build", [GRID_CASES[0], GRID_CASES[-1]])
     def test_wide_grid_reaches_zero_gibbs_weights(self, build):
-        grid = grid_pass(build(), WIDE_GRID)
-        assert not grid.positive[0] and not grid.positive[-1]
-        assert grid.positive[1:-1].all()
-        assert np.isnan(grid.kl_after[[0, -1]]).all()
+        """Rows with a zero Gibbs weight keep finite KL sides, the 0 log 0 = 0
+        divergences of the per-point functions (p0 is positive here)."""
+        G = build()
+        grid = grid_pass(G, WIDE_GRID)
+        p = np.exp(gibbs_log_weights(G.system, WIDE_GRID)[0])
+        zero = (p == 0.0).any(axis=1)
+        assert zero[0] and zero[-1] and not zero[1:-1].any()
+        assert G.fixed_point.weights.min() > 0.0
+        assert np.isfinite(grid.kl_after).all() and np.isfinite(grid.kl_before).all()
+        q0 = propagate(G.matrix, G.fixed_point)
+        for i in (0, -1):
+            p = make_gibbs_state(G.system, WIDE_GRID[i])
+            after = kl_divergence(propagate(G.matrix, p), q0)
+            before = kl_divergence(p, G.fixed_point)
+            assert grid.kl_after[i] == pytest.approx(after, rel=DIFF_TOL, abs=DIFF_TOL)
+            assert grid.kl_before[i] == pytest.approx(before, rel=DIFF_TOL, abs=DIFF_TOL)
+
+    def test_spin1_kl_line_reaches_the_ground_state_limit(self):
+        """Over +/-1e300 every row but beta = 0 has a zero Gibbs weight.  The
+        KL line once skipped those rows and reported slack 2.05 at beta = 0;
+        it reads every row now, and the least slack is near beta = 1e297,
+        where p is the ground state."""
+        grid = grid_pass(spin1_gibbs_matrix(5.0), np.linspace(-1e300, 1e300, 2001))
+        assert np.isfinite(grid.kl_after).all() and np.isfinite(grid.kl_before).all()
+        contraction = inequality_suite(grid)[-1]
+        assert contraction.label == ("KL contraction: worst slack of S(Tp||Tp0) <= S(p||p0) "
+                                     "[beta=9.9999999999996139e+296]")
+        assert contraction.slack == pytest.approx(5.724968556425736e-3, rel=1e-12)
+        assert contraction.holds
 
     def test_negative_grid_has_no_entropy_flow_report(self):
         G = random_gibbs_instance(4, 3)
@@ -443,18 +473,6 @@ class TestGridSuites:
         with pytest.raises(InvalidInputError):
             grid_pass(G, [0.0, math.inf])
 
-    def test_nan_heat_value_fails_its_line(self):
-        # general J values off ``positive`` are NaN by design and do not count
-        betas = np.array([0.0, 1.0, 2.0])
-        positive = np.array([True, False, True])
-        ones, nan_in_middle = np.ones(3), np.array([1.0, np.nan, 1.0])
-        grid = GridPass(1.0, betas, np.zeros(3), np.zeros(3), positive,
-                        j_heat=nan_in_middle, j_general=nan_in_middle,
-                        kl_after=ones, kl_before=ones)
-        heat, general = jequation_suite(grid)
-        assert not heat.holds
-        assert general.holds and general.lhs == 0.0
-
     def test_per_point_heat_j_overflows_near_1e300(self):
         # rounding in the per-point log-space terms overflows exp at these
         # betas; the suite warning filter turns any numpy overflow warning
@@ -463,22 +481,19 @@ class TestGridSuites:
         values = [j_heat_expectation(G, b) for b in np.linspace(-1e300, 1e300, 101)]
         assert np.isinf(values).any()
 
-    def test_batched_heat_j_holds_where_the_log_space_sum_overflowed(self):
-        # a grid found by scanning: at |beta| ~ 1e20 the factored log-space
-        # sums this pass once used rounded to errors that overflowed exp at
-        # some points of this N = 3 instance; p @ rho has no such term
-        G = random_gibbs_instance(3, 4)
-        grid = grid_pass(G, np.linspace(-1e20, 1e20, 101))
-        heat, _ = jequation_suite(grid)
-        assert heat.holds and heat.lhs <= 1e-14
-
     @pytest.mark.parametrize("n", [3, 5, 8])
-    @pytest.mark.parametrize("span", [1e20, 1e100, 1e300])
-    def test_heat_j_stays_at_rounding_on_wide_grids(self, n, span):
+    def test_heat_line_bounds_p_rho_on_wide_grids(self, n):
+        """The heat J value at any beta is p @ rho, a convex combination of
+        rho: on grids out to 1e300 it stays within the line, which sits at
+        rounding for these instances."""
         for seed in range(10):
             G = random_gibbs_instance(n, seed)
-            grid = grid_pass(G, np.linspace(-span, span, 101))
-            assert np.max(np.abs(grid.j_heat - 1.0)) <= 1e-14
+            heat, _ = jequation_suite(G)
+            assert heat.lhs <= 1e-14
+            for span in (1e20, 1e100, 1e300):
+                p = np.exp(gibbs_log_weights(G.system, np.linspace(-span, span, 101))[0])
+                p /= p.sum(axis=1, keepdims=True)
+                assert np.abs(p @ G.rho - 1.0).max() <= heat.lhs + 4 * n * UNIT_ROUNDOFF
 
     def test_overflowing_ratio_fails_the_heat_line_without_warnings(self):
         """The residual |T p0 - p0| is 1e-11, but p0_1 = e^-740 / Z is
@@ -494,19 +509,89 @@ class TestGridSuites:
         assert [r.holds for r in reports] == [True, False, True]
         assert reports[1].lhs == math.inf
 
-    def test_underflowing_gibbs_weight_is_an_evaluation_error(self):
+    def test_underflowing_gibbs_weight_keeps_every_line_finite(self):
         """A Gibbs weight that underflows to 0 is no error: rho and log p0
         come from log space, so the identity map keeps every line exact."""
         G = GibbsMatrix(TransitionMatrix(np.eye(2)), LevelSystem([0.0, 1e300], [1, 1]), 1.0)
         assert G.fixed_point.weights[1] == 0.0
         grid = grid_pass(G, [0.0, 1.0])
-        assert grid.j_heat.tolist() == [1.0, 1.0]
-        assert grid.positive.tolist() == [True, False]
-        # S(p || p0) = (log 2 + 1e300) / 2 - log 2 at beta = 0, the same after T
+        # S(p || p0) = (log 2 + 1e300) / 2 - log 2 at beta = 0, the same after
+        # T; 0 at beta = 1, where p = p0 = (1, 0)
         assert grid.kl_before[0] == pytest.approx(5e299)
-        assert grid.kl_after[0] == grid.kl_before[0]
+        assert grid.kl_after.tolist() == grid.kl_before.tolist()
+        assert grid.kl_before[1] == 0.0
         assert np.array_equal(grid.dq, [0.0, 0.0])
-        assert all(r.holds for r in jequation_suite(grid) + inequality_suite(grid))
+        assert all(r.holds for r in jequation_suite(G) + inequality_suite(grid))
+
+
+def exact_gibbs(system, beta):
+    """The Gibbs state at ``beta`` in the working precision of mpmath."""
+    w = [int(d) * mpmath.exp(-beta * mpmath.mpf(float(e)))
+         for e, d in zip(system.energies, system.degeneracies)]
+    z = mpmath.fsum(w)
+    return [x / z for x in w]
+
+
+def exact_j_reference(G, betas):
+    """The paper's two J double sums at each of ``betas`` (the general one
+    with ptilde = q = T p), and max |rho - 1| and max |column sum - 1|, all
+    at 50 digits with the double entries, energies and betas taken as exact."""
+    with mpmath.workdps(50):
+        t = [[mpmath.mpf(float(x)) for x in row] for row in G.matrix.entries]
+        e = [mpmath.mpf(float(x)) for x in G.system.energies]
+        n, beta0 = len(e), mpmath.mpf(G.beta0)
+        pairs = [(m, k) for m in range(n) for k in range(n) if t[m][k] > 0]
+        p0 = exact_gibbs(G.system, beta0)
+        q0 = [mpmath.fsum(t[m][k] * p0[k] for k in range(n)) for m in range(n)]
+        rho_dev = max(abs(q0[m] / p0[m] - 1) for m in range(n))
+        column_dev = max(abs(mpmath.fsum(t[m][k] for m in range(n)) - 1) for k in range(n))
+        heat, general = [], []
+        for beta in map(mpmath.mpf, betas):
+            p = exact_gibbs(G.system, beta)
+            q = [mpmath.fsum(t[m][k] * p[k] for k in range(n)) for m in range(n)]
+            heat.append(mpmath.fsum(t[m][k] * p[k] * mpmath.exp(-(beta - beta0) * (e[m] - e[k]))
+                                    for m, k in pairs))
+            general.append(mpmath.fsum(t[m][k] * p[k] * p0[k] * q[m] / (q0[m] * p[k])
+                                       for m, k in pairs))
+        return (float(rho_dev), float(column_dev),
+                [float(abs(j - 1)) for j in heat], [float(abs(j - 1)) for j in general])
+
+
+def metropolis_gibbs_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    system = LevelSystem(3.0 * rng.uniform(size=n), rng.integers(1, 5, size=n))
+    return GibbsMatrix(TransitionMatrix(metropolis_entries(system, 2.0)), system, 2.0)
+
+
+EXACT_CASES = (
+    [pytest.param(lambda n=n, s=s: random_gibbs_instance(n, s), id=f"random-{n}-{s}")
+     for n in range(2, 7) for s in range(3)]
+    + [pytest.param(lambda b=b: spin1_gibbs_matrix(b), id=f"spin1-{b:g}")
+       for b in (1e-3, 0.1, 1.0, 5.0, 10.0)]
+    + [pytest.param(lambda L=L: GibbsMatrix(
+        TransitionMatrix(_ladder_oracle(L, SpinBosonParams(beta0=1.0))), ladder_system(L), 1.0),
+        id=f"ladder-{L}") for L in range(2, 7)]
+    + [pytest.param(lambda n=n, s=s: metropolis_gibbs_matrix(n, s), id=f"metropolis-{n}-{s}")
+       for n, s in ((3, 0), (5, 1), (6, 2))]
+)
+
+
+class TestExactJReference:
+    """The J lines read the certification, not the double sums: at 50 digits
+    the sums stay within each line at every beta of the default grid's span,
+    and the certified values are the exact maxima, up to 4 N roundings."""
+
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_double_sums_stay_within_the_certified_lines(self, build):
+        G = build()
+        heat, general = jequation_suite(G)
+        betas = np.linspace(-5.0 * G.beta0, 5.0 * G.beta0, 11)
+        rho_dev, column_dev, heat_devs, general_devs = exact_j_reference(G, betas)
+        rounding = 4 * G.size * UNIT_ROUNDOFF
+        assert abs(rho_dev - heat.lhs) <= rounding
+        assert abs(column_dev - general.lhs) <= rounding
+        assert max(heat_devs) <= heat.lhs + rounding
+        assert max(general_devs) <= general.lhs + rounding
 
 
 class TestRelativeFixedPoint:
@@ -526,7 +611,7 @@ class TestRelativeFixedPoint:
         assert np.abs(raw @ p0 - p0).max() <= FIXED_POINT_TOL
         betas = np.linspace(-5.0 * beta0, 5.0 * beta0, 201)
         grid = grid_pass(G, betas)
-        heat, _ = jequation_suite(grid)
+        heat, _ = jequation_suite(G)
         assert heat.holds
         rho = G.rho
         p = np.exp(gibbs_log_weights(system, betas)[0])

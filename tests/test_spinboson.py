@@ -265,9 +265,6 @@ class TestLadderBlocks:
         with pytest.raises(DegenerateBlockError):
             _block_mixture(nearly)
 
-    def test_one_by_one_block_keeps_its_state(self):
-        assert _block_mixture(np.array([[[2.5]]])).tolist() == [[[1.0]]]
-
 
 class TestNumericalOracle:
     def test_matches_analytic_at_unit_beta0(self):
@@ -357,7 +354,7 @@ class TestLadderOracle:
                         ladder_system(levels), beta0)
         assert np.abs(G.rho - 1.0).max() <= 1e-14
         grid = grid_pass(G, np.linspace(-5.0 * beta0, 5.0 * beta0, 201))
-        lines = (jequation_suite(grid) + inequality_suite(grid) + slope_suite(G)
+        lines = (jequation_suite(G) + inequality_suite(grid) + slope_suite(G)
                  + cumulant_suite(G))
         assert [line.label for line in lines if not line.holds] == []
 

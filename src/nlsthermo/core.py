@@ -84,10 +84,7 @@ class EvaluationError(ArithmeticError):
 
 
 class CertificationError(InvalidInputError):
-    """Raised when a matrix breaks a rule of :func:`certify_gibbs_matrix`, with
-    its report ``lines`` when :class:`GibbsMatrix` had formed them."""
-
-    lines: tuple[InequalityReport, ...] | None = None
+    """Raised when a matrix breaks a rule of :func:`certify_gibbs_matrix`."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -214,15 +211,12 @@ class GibbsMatrix:
     def __post_init__(self):
         object.__setattr__(self, "beta0", float(self.beta0))
         rules, log_p0, rho = _certification(self.matrix.entries, self.system, self.beta0)
-        lines = tuple(line for line, _ in rules)
         _, failure = rules[1]  # the transition matrix holds the other two
         if failure is not None:
-            error = CertificationError(f"{failure} at beta0={self.beta0!r}")
-            error.lines = lines
-            raise error
+            raise CertificationError(f"{failure} at beta0={self.beta0!r}")
         w = np.exp(log_p0)
         object.__setattr__(self, "fixed_point", ProbabilityVector(w / w.sum()))
-        object.__setattr__(self, "certification", lines)
+        object.__setattr__(self, "certification", tuple(line for line, _ in rules))
         object.__setattr__(self, "log_p0", _freeze(log_p0))
         object.__setattr__(self, "rho", _freeze(rho))
 
@@ -512,10 +506,9 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
     try:
         G = GibbsMatrix(matrix if isinstance(matrix, TransitionMatrix)
                         else TransitionMatrix(matrix), system, beta0)
-    except CertificationError as exc:  # a broken sign or column sum has no lines yet
-        lines = exc.lines or [line for line, _ in _certification(
-            _square_finite(matrix), system, float(beta0))[0]]
-        return list(lines), None
+    except CertificationError:  # only a failure pays for forming the lines again
+        t = matrix.entries if isinstance(matrix, TransitionMatrix) else _square_finite(matrix)
+        return [line for line, _ in _certification(t, system, float(beta0))[0]], None
     return list(G.certification), G
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,32 +108,22 @@ def fock_cutoff(beta0: float) -> int:
 
 @dataclass(frozen=True)
 class SpinBosonParams:
-    """Bath inverse temperature, coupling strength, and oscillator cutoff.
-
-    ``n_max=None`` picks the smallest cutoff satisfying the geometric tail
-    bound; an explicit cutoff must satisfy it too, so truncation error stays
-    below the comparison tolerances used downstream.  Neither may exceed
-    ``MAX_CUTOFF``, which bounds the oracle's time.
-    """
+    """Bath inverse temperature and coupling strength; the oscillator cutoff
+    ``n_max`` is derived, read-only, as :func:`fock_cutoff` of ``beta0``,
+    the smallest one whose truncation tail stays below ``TAIL_TOL``."""
 
     beta0: float
     lam: float = 1.0
-    n_max: int | None = None
+    n_max: int = field(init=False)
 
     def __post_init__(self):
-        beta0 = float(self.beta0)
-        lam = float(self.lam)
+        beta0, lam = float(self.beta0), float(self.lam)
         if not math.isfinite(lam) or lam == 0.0:
             raise InvalidInputError("coupling must be nonzero and finite")
-        needed = fock_cutoff(beta0)  # also rejects a beta0 not positive and finite
-        n_max = needed if self.n_max is None else int(self.n_max)
-        if not needed <= n_max <= MAX_CUTOFF:
-            raise InvalidInputError(
-                f"n_max = {n_max} must lie in [{needed}, MAX_CUTOFF = {MAX_CUTOFF}]: "
-                f"a smaller cutoff leaves a truncation tail above {TAIL_TOL:g}")
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "n_max", n_max)
+        # also rejects a beta0 not positive and finite, or one below the oracle's range
+        object.__setattr__(self, "n_max", fock_cutoff(beta0))
 
 
 #: terms of both series in :func:`lerch_phi` (coefficients 4/(2k+3)^2, 1/(2k+1)^2)

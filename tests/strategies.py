@@ -1,14 +1,17 @@
-"""Hypothesis strategies for the instance families the differential tests
-share: each draws ``(system, raw transition matrix, beta0)``, to be certified
-by the test that uses it."""
+"""The instance families the differential tests share: Hypothesis strategies,
+each drawing ``(system, raw transition matrix, beta0)`` to be certified by
+the test that uses it, and ``EXACT_CASES``, fixed certified instances of the
+same families for the 50-digit references."""
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from nlsthermo.core import LevelSystem
+from nlsthermo.core import GibbsMatrix, LevelSystem, TransitionMatrix
 from nlsthermo.genrand import random_gibbs_instance
 from nlsthermo.spinboson import (SpinBosonParams, _ladder_oracle, analytic_entries,
-                                 spin1_level_system)
+                                 spin1_gibbs_matrix, spin1_level_system)
 
 
 def metropolis_entries(system, beta0):
@@ -57,3 +60,32 @@ def ladder_instances():
         lambda levels, beta0: (ladder_system(levels),
                                _ladder_oracle(levels, SpinBosonParams(beta0)), beta0),
         st.integers(2, 8), st.floats(0.1, 10.0))
+
+
+def exact_gibbs(system, beta):
+    """The Gibbs state at ``beta`` in the working precision of mpmath."""
+    w = [int(d) * mpmath.exp(-beta * mpmath.mpf(float(e)))
+         for e, d in zip(system.energies, system.degeneracies)]
+    z = mpmath.fsum(w)
+    return [x / z for x in w]
+
+
+def metropolis_gibbs_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    system = LevelSystem(3.0 * rng.uniform(size=n), rng.integers(1, 5, size=n))
+    return GibbsMatrix(TransitionMatrix(metropolis_entries(system, 2.0)), system, 2.0)
+
+
+#: builders of certified Gibbs matrices: random N = 2-6 x seeds 0-2, spin1 at
+#: five beta0, the ladder oracle for L = 2-6 levels and three Metropolis chains
+EXACT_CASES = (
+    [pytest.param(lambda n=n, s=s: random_gibbs_instance(n, s), id=f"random-{n}-{s}")
+     for n in range(2, 7) for s in range(3)]
+    + [pytest.param(lambda b=b: spin1_gibbs_matrix(b), id=f"spin1-{b:g}")
+       for b in (1e-3, 0.1, 1.0, 5.0, 10.0)]
+    + [pytest.param(lambda L=L: GibbsMatrix(
+        TransitionMatrix(_ladder_oracle(L, SpinBosonParams(beta0=1.0))), ladder_system(L), 1.0),
+        id=f"ladder-{L}") for L in range(2, 7)]
+    + [pytest.param(lambda n=n, s=s: metropolis_gibbs_matrix(n, s), id=f"metropolis-{n}-{s}")
+       for n, s in ((3, 0), (5, 1), (6, 2))]
+)

@@ -1,6 +1,7 @@
 """Command-line surface: sweeps, verification, generation, the example,
 file handling, and the exit-status contract."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -206,6 +207,31 @@ class TestSweep:
                 ds_negative_side.append(ds)
         signs = np.sign(ds_negative_side)
         assert (np.diff(signs) != 0).any()  # second zero at negative beta
+
+    @pytest.mark.parametrize("bound, label", [
+        ("lower", "clausius lower bound: worst slack of beta0<dQ> <= <dS> [beta=2]"),
+        ("upper", "clausius upper bound: worst slack of <dS> <= beta<dQ> [beta=2]"),
+    ], ids=["lower", "upper"])
+    def test_a_failed_clausius_line_stops_the_sweep_naming_its_beta(self, monkeypatch,
+                                                                    capsys, bound, label):
+        """sweep reads the inequality suite's Clausius verdict: <dS> moved one
+        unit past either bound at beta = 2 fails that line, and no row is
+        written."""
+        original = cli.grid_pass
+
+        def tampered(G, betas):
+            grid = original(G, betas)
+            ds = grid.ds.copy()
+            ds[7] = (G.beta0 * grid.dq[7] - 1.0 if bound == "lower"
+                     else grid.betas[7] * grid.dq[7] + 1.0)
+            return dataclasses.replace(grid, ds=ds)
+
+        monkeypatch.setattr(cli, "grid_pass", tampered)
+        assert run_cli("sweep", "--random", "4", "--steps", "11",
+                       "--beta-min", "-5", "--beta-max", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: clausius ordering violated: {label}\n"
 
     def test_fine_grid_locates_the_entropy_extremum(self, capsys):
         run_cli("sweep", "--example", "spin1", "--beta0", "1.0",
@@ -567,15 +593,16 @@ class TestFixedPointTable:
         heat_tables = 2 if argv[0] == "verify" else 0
         assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_cumulants"] * heat_tables
 
-    @pytest.mark.parametrize("transition, holds", [
-        ([[0.5, 0.5], [0.5, 0.5]], [True, False, True]),
-        ([[1.1, 0.5], [-0.1, 0.5]], [True, False, False]),
-        ([[0.5, 0.5], [0.4, 0.5]], [False, False, True]),
+    @pytest.mark.parametrize("transition, holds, forms", [
+        ([[0.5, 0.5], [0.5, 0.5]], [True, False, True], 2),
+        ([[1.1, 0.5], [-0.1, 0.5]], [True, False, False], 1),
+        ([[0.5, 0.5], [0.4, 0.5]], [False, False, True], 1),
     ], ids=["fixed-point", "sign", "column-sum"])
-    def test_a_failing_certification_forms_rho_once(self, transition, holds, tmp_path,
-                                                    monkeypatch, capsys):
-        """The constructor's error carries the lines it formed, so a matrix
-        that fails only the fixed-point rule is not certified a second time."""
+    def test_only_a_failing_certification_forms_rho_again(self, transition, holds, forms,
+                                                          tmp_path, monkeypatch, capsys):
+        """A failed certification forms its report lines anew: rho twice for
+        a matrix that fails only the fixed-point rule (once in the
+        constructor), once for one the transition-matrix rules reject."""
         path = write_instance(tmp_path, [0.0, 1.0], transition)
         calls = []
         original = core._fixed_point_ratio
@@ -584,7 +611,7 @@ class TestFixedPointTable:
         assert run_cli("verify", "--input", path) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["holds"] for c in checks] == holds
-        assert len(calls) == 1
+        assert len(calls) == forms
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["verify", "sweep"])

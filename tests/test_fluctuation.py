@@ -43,9 +43,9 @@ from nlsthermo.fluctuation import (
     kl_monotonicity_check,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
-from nlsthermo.spinboson import SpinBosonParams, _ladder_oracle, spin1_gibbs_matrix
-from strategies import (ladder_instances, ladder_system, metropolis_entries,
-                        metropolis_instances, random_instances, spin1_instances)
+from nlsthermo.spinboson import spin1_gibbs_matrix
+from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_instances,
+                        random_instances, spin1_instances)
 
 
 #: unit roundoff of a double
@@ -524,14 +524,6 @@ class TestGridSuites:
         assert all(r.holds for r in jequation_suite(G) + inequality_suite(grid))
 
 
-def exact_gibbs(system, beta):
-    """The Gibbs state at ``beta`` in the working precision of mpmath."""
-    w = [int(d) * mpmath.exp(-beta * mpmath.mpf(float(e)))
-         for e, d in zip(system.energies, system.degeneracies)]
-    z = mpmath.fsum(w)
-    return [x / z for x in w]
-
-
 def exact_j_reference(G, betas):
     """The paper's two J double sums at each of ``betas`` (the general one
     with ptilde = q = T p), and max |rho - 1| and max |column sum - 1|, all
@@ -555,25 +547,6 @@ def exact_j_reference(G, betas):
                                        for m, k in pairs))
         return (float(rho_dev), float(column_dev),
                 [float(abs(j - 1)) for j in heat], [float(abs(j - 1)) for j in general])
-
-
-def metropolis_gibbs_matrix(n, seed):
-    rng = np.random.default_rng(seed)
-    system = LevelSystem(3.0 * rng.uniform(size=n), rng.integers(1, 5, size=n))
-    return GibbsMatrix(TransitionMatrix(metropolis_entries(system, 2.0)), system, 2.0)
-
-
-EXACT_CASES = (
-    [pytest.param(lambda n=n, s=s: random_gibbs_instance(n, s), id=f"random-{n}-{s}")
-     for n in range(2, 7) for s in range(3)]
-    + [pytest.param(lambda b=b: spin1_gibbs_matrix(b), id=f"spin1-{b:g}")
-       for b in (1e-3, 0.1, 1.0, 5.0, 10.0)]
-    + [pytest.param(lambda L=L: GibbsMatrix(
-        TransitionMatrix(_ladder_oracle(L, SpinBosonParams(beta0=1.0))), ladder_system(L), 1.0),
-        id=f"ladder-{L}") for L in range(2, 7)]
-    + [pytest.param(lambda n=n, s=s: metropolis_gibbs_matrix(n, s), id=f"metropolis-{n}-{s}")
-       for n, s in ((3, 0), (5, 1), (6, 2))]
-)
 
 
 class TestExactJReference:
@@ -660,3 +633,10 @@ class TestCertificationSuite:
         reports, G = certify_gibbs_matrix(inst.matrix.entries, inst.system, 2.0)
         assert [r.holds for r in reports] == [True, False, True]
         assert G is None
+
+    def test_a_failing_transition_matrix_reports_the_lines_of_its_entries(self):
+        inst = random_gibbs_instance(4, 8)
+        typed, G = certify_gibbs_matrix(inst.matrix, inst.system, 2.0)
+        bare, _ = certify_gibbs_matrix(inst.matrix.entries, inst.system, 2.0)
+        assert G is None
+        assert typed == bare and [r.holds for r in typed] == [True, False, True]

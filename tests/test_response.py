@@ -1,7 +1,9 @@
 """Slope formulas, cumulant truncation, Newton cooling, weak coupling."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,17 +20,14 @@ from nlsthermo.core import (
     make_gibbs_state,
 )
 from nlsthermo.fluctuation import grid_pass, heat_and_entropy_change
-from nlsthermo.genrand import random_gibbs_instance
+from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.response import (
-    PerturbationGenerator,
     _tangents,
     clausius_equality_residual,
     cumulant_deviation,
     cumulant_suite,
     entropy_slope_numeric,
     newton_cooling_coefficient,
-    perturbed_matrix,
-    random_perturbation,
     slope_direct,
     slope_fluctuation,
     slope_numeric,
@@ -37,8 +36,8 @@ from nlsthermo.response import (
     weak_coupling_residual,
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
-from strategies import (ladder_instances, metropolis_instances, random_instances,
-                        spin1_instances)
+from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_instances,
+                        random_instances, spin1_instances)
 
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -97,11 +96,11 @@ class TestSlopeRoutes:
         """The suite's agreement lines of the four routes, at their bounds."""
         for seed in range(30):
             G = random_gibbs_instance(2 + seed % 8, 900 + seed)
-            symmetrized, fluctuation, numeric, _, _ = slope_suite(G)
+            symmetrized, fluctuation, tangent, _, _ = slope_suite(G)
             scale = max(1.0, abs(slope_direct(G)))
             assert symmetrized.lhs <= 1e-9 * scale
             assert fluctuation.lhs <= 1e-9 * scale
-            assert numeric.lhs <= 1e-4 * scale
+            assert tangent.lhs <= 1e-9 * scale
 
     def test_suite_reports_the_bundle_comparisons_and_the_tangent(self):
         """Each line's value compares the three closed forms and the exact
@@ -354,53 +353,120 @@ class TestNewtonCooling:
             newton_cooling_coefficient(G)
 
 
-class TestWeakCoupling:
-    def test_generator_requires_zero_column_sums(self):
-        with pytest.raises(InvalidInputError, match="column sums"):
-            PerturbationGenerator(np.array([[0.1, 0.0], [0.0, -0.1]]))
+#: unit roundoff of a double
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-    @pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0]], [[0.0, "x"], [0.0, 0.0]]],
-                             ids=["ragged", "string"])
-    def test_ragged_or_non_numeric_generator_is_an_input_error(self, bad):
-        with pytest.raises(InvalidInputError, match="^generator must be an array of numbers: "):
-            PerturbationGenerator(bad)
+
+def exact_slopes(G):
+    """Each slope route's value at 50 digits, with the double entries,
+    energies, degeneracies and beta0 taken as exact, and the sum of the
+    magnitudes of the operands it adds: {route: (value, magnitude)}.  Where
+    the route subtracts (q0 - p0, dq - dp, E - <E>) the operands count, and
+    a log p0 counts as |log d| + |beta0 E| + |log Z|, its parts."""
+    with mpmath.workdps(50):
+        t = [[mpmath.mpf(float(x)) for x in row] for row in G.matrix.entries]
+        e = [mpmath.mpf(float(x)) for x in G.system.energies]
+        d = [int(x) for x in G.system.degeneracies]
+        levels, beta0 = range(len(e)), mpmath.mpf(G.beta0)
+        p0 = exact_gibbs(G.system, beta0)
+        log_z = mpmath.log(mpmath.fsum(d[m] * mpmath.exp(-beta0 * e[m]) for m in levels))
+        mean = mpmath.fsum(p0[m] * e[m] for m in levels)
+        dp = [-p0[m] * (e[m] - mean) for m in levels]
+        q0, dq = ([mpmath.fsum(t[m][n] * v[n] for n in levels) for m in levels] for v in (p0, dp))
+        abs_dp = [p0[m] * (abs(e[m]) + abs(mean)) for m in levels]
+        abs_dq = [mpmath.fsum(t[m][n] * abs_dp[n] for n in levels) for m in levels]
+        pairs = [(m, n) for m in levels for n in levels]
+        # row n, column m of T, as slope_direct sums them
+        direct = [beta0 * t[n][m] * p0[m] * e[m] * (e[m] - e[n]) for n, m in pairs]
+        symmetrized = [beta0 / 4 * (t[n][m] * p0[m] + t[m][n] * p0[n]) * (e[m] - e[n]) ** 2
+                       for n, m in pairs]
+        k1 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) for m, n in pairs)
+        k2 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) ** 2 for m, n in pairs)
+        heat = mpmath.fsum(e[m] * (q0[m] - p0[m]) + beta0 * e[m] * (dq[m] - dp[m])
+                           for m in levels)
+        entropy = mpmath.fsum(dp[m] * (mpmath.log(p0[m] / d[m]))
+                              - dq[m] * (mpmath.log(q0[m] / d[m])) for m in levels)
+        routes = {
+            "direct": (mpmath.fsum(direct), mpmath.fsum(map(abs, direct))),
+            "symmetrized": (mpmath.fsum(symmetrized), mpmath.fsum(symmetrized)),
+            "fluctuation": (beta0 / 2 * (k2 - k1 * k1), beta0 / 2 * (k2 + k1 * k1)),
+            "heat tangent": (heat, mpmath.fsum(
+                abs(e[m]) * (q0[m] + p0[m] + beta0 * (abs_dq[m] + abs_dp[m])) for m in levels)),
+            "entropy tangent": (entropy, mpmath.fsum(
+                (abs_dp[m] + abs_dq[m]) * (1 + mpmath.log(d[m]) + abs(beta0 * e[m]) + abs(log_z))
+                for m in levels)),
+        }
+        return {route: (float(value), float(size)) for route, (value, size) in routes.items()}
+
+
+class TestExactSlopeReference:
+    """The four slope routes and the entropy tangent against their 50-digit
+    values, on the fixed families of the J reference: each lies within
+    4 N u of the magnitudes it sums, so the direct-vs-tangent line's bound
+    of 1e-9 max(1, |a|) is rounding headroom, not slack."""
+
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_routes_lie_within_rounding_of_their_exact_values(self, build):
+        G = build()
+        computed = dict(zip(("direct", "symmetrized", "fluctuation"),
+                            (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G))))
+        computed["heat tangent"], computed["entropy tangent"] = _tangents(G)
+        for route, (exact, magnitude) in exact_slopes(G).items():
+            assert abs(computed[route] - exact) <= 4 * G.size * UNIT_ROUNDOFF * magnitude, route
+
+    def test_direct_and_tangent_agree_far_inside_the_line(self):
+        worst = max(abs(slope_direct(G) - _tangents(G)[0]) / max(1.0, abs(slope_direct(G)))
+                    for G in (case.values[0]() for case in EXACT_CASES))
+        assert worst <= 1e-12
+
+
+class TestWeakCoupling:
+    """The family T = (1 - eps) 1 + eps M of a transition matrix M."""
 
     def test_zero_eps_gives_zero_residual(self):
-        gen = random_perturbation(4, 0)
+        M = random_stochastic(4, 0)
         system = LevelSystem(np.linspace(-1, 1, 4), np.ones(4, dtype=np.int64))
-        assert clausius_equality_residual(gen, system, beta=0.8, eps=0.0) == 0.0
+        assert clausius_equality_residual(M, system, beta=0.8, eps=0.0) == 0.0
 
-    def test_zero_generator_gives_zero_residuals(self):
-        gen = PerturbationGenerator(np.zeros((3, 3)))
+    def test_identity_matrix_gives_zero_residuals(self):
+        M = TransitionMatrix(np.eye(3))
         system = LevelSystem([0.0, 0.5, 1.0], [1, 1, 1])
-        fit = weak_coupling_residual(gen, system, beta=0.7, eps_list=EPS_GRID)
+        fit = weak_coupling_residual(M, system, beta=0.7, eps_list=EPS_GRID)
         assert fit.residuals == (0.0,) * len(EPS_GRID)
         assert fit.exponent == math.inf
 
-    def test_sampled_generators_admit_the_whole_unit_range(self):
-        gen = random_perturbation(5, 7)
+    def test_the_whole_unit_range_is_admissible(self):
+        M = random_stochastic(5, 7)
+        system = LevelSystem(np.linspace(-1, 1, 5), np.ones(5, dtype=np.int64))
         for eps in (0.0, 0.5, 1.0):
-            perturbed_matrix(gen, eps)
+            assert math.isfinite(clausius_equality_residual(M, system, 0.6, eps))
 
-    def test_negative_entry_names_the_offending_eps(self):
-        base = random_perturbation(4, 11)
-        doubled = PerturbationGenerator(2.0 * base.t_matrix)
-        perturbed_matrix(doubled, 0.3)
-        with pytest.raises(InvalidInputError, match="0.9"):
-            perturbed_matrix(doubled, 0.9)
+    @pytest.mark.parametrize("eps", [-0.25, 1.5, math.nan])
+    def test_eps_outside_the_unit_range_is_named(self, eps):
+        M = random_stochastic(4, 11)
+        system = LevelSystem(np.linspace(-1, 1, 4), np.ones(4, dtype=np.int64))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"eps must lie in [0, 1]; got eps={eps!r}")):
+            clausius_equality_residual(M, system, 0.6, eps)
+
+    def test_fit_names_an_eps_above_one(self):
+        M = random_stochastic(4, 11)
+        system = LevelSystem(np.linspace(-1, 1, 4), np.ones(4, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match=re.escape("got eps=1.5")):
+            weak_coupling_residual(M, system, 0.6, (1e-3, 1.5))
 
     def test_residual_scales_quadratically(self):
         rng = np.random.default_rng(123)
         for k in range(8):
             n = 2 + k % 5
-            gen = random_perturbation(n, 800 + k)
+            M = random_stochastic(n, 800 + k)
             system = LevelSystem(rng.uniform(-1, 1, n), np.ones(n, dtype=np.int64))
             beta = float(rng.uniform(0.2, 1.0))
-            fit = weak_coupling_residual(gen, system, beta, EPS_GRID)
+            fit = weak_coupling_residual(M, system, beta, EPS_GRID)
             assert 1.9 <= fit.exponent <= 2.1
 
     def test_fit_needs_positive_eps(self):
-        gen = random_perturbation(3, 1)
+        M = random_stochastic(3, 1)
         system = LevelSystem([0.0, 0.5, 1.0], [1, 1, 1])
         with pytest.raises(InvalidInputError):
-            weak_coupling_residual(gen, system, 0.5, (0.0, 0.1))
+            weak_coupling_residual(M, system, 0.5, (0.0, 0.1))

@@ -1,6 +1,7 @@
 """The exactly solvable spin-1 / oscillator example, its two routes, and the
 ladder oracle for other spins."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -14,7 +15,6 @@ from nlsthermo.fluctuation import (grid_pass, heat_and_entropy_change, inequalit
                                    jequation_suite)
 from nlsthermo.response import cumulant_suite, slope_suite
 from nlsthermo.spinboson import (
-    _CHUNK,
     MAX_BETA0,
     MAX_CUTOFF,
     MIN_BETA0,
@@ -193,10 +193,14 @@ class TestParams:
             tail_before = math.exp(-beta0 * (n - 1)) / -math.expm1(-beta0)
             assert tail <= 1e-12 < tail_before
 
-    def test_insufficient_cutoff_is_rejected(self):
-        with pytest.raises(InvalidInputError, match="tail"):
-            SpinBosonParams(beta0=0.5, n_max=40)
-        SpinBosonParams(beta0=0.5)  # auto cutoff is fine
+    @pytest.mark.parametrize("beta0", [1e-6, 0.1, 0.5, 1.0, 40.0])
+    def test_cutoff_is_derived_and_read_only(self, beta0):
+        params = SpinBosonParams(beta0=beta0)
+        assert params.n_max == fock_cutoff(beta0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.n_max = 1
+        with pytest.raises(TypeError):
+            SpinBosonParams(beta0=beta0, n_max=40)
 
     def test_zero_coupling_is_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -213,8 +217,6 @@ class TestParams:
             with pytest.raises(InvalidInputError, match=r"MAX_CUTOFF = 41446533; "
                                                         r"the oracle admits beta0 >= 1e-06"):
                 SpinBosonParams(beta0=beta0)
-        with pytest.raises(InvalidInputError, match="MAX_CUTOFF"):
-            SpinBosonParams(beta0=1.0, n_max=MAX_CUTOFF + 1)
 
 
 def triplet_eigenvalues(n, lam):
@@ -269,7 +271,7 @@ class TestLadderBlocks:
 class TestNumericalOracle:
     def test_matches_analytic_at_unit_beta0(self):
         analytic = analytic_transition_matrix(1.0)
-        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0, n_max=40))
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0))
         assert np.abs(numeric.entries - analytic.entries).max() <= 1e-8
 
     @pytest.mark.parametrize("beta0", [0.5, 2.0])
@@ -280,26 +282,28 @@ class TestNumericalOracle:
 
     def test_coupling_independence(self):
         results = [
-            numerical_transition_matrix(SpinBosonParams(beta0=1.0, lam=lam, n_max=40))
+            numerical_transition_matrix(SpinBosonParams(beta0=1.0, lam=lam))
             for lam in (0.3, 0.7, 1.3, 2.0)
         ]
         for other in results[1:]:
             assert np.abs(other.entries - results[0].entries).max() <= 1e-10
 
     def test_columns_sum_to_one(self):
-        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0, n_max=40))
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0))
         np.testing.assert_allclose(numeric.entries.sum(axis=0), 1.0,
                                    rtol=0, atol=1e-10)
 
     def test_certifies_as_gibbs_matrix(self):
-        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0, n_max=40))
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=1.0))
         _, G = certify_gibbs_matrix(numeric, spin1_level_system(), 1.0)
         assert G is not None
 
-    @pytest.mark.parametrize("n_max", [_CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-    def test_chunk_seams(self, n_max):
-        # full blocks n0 = 0 .. n_max fill one stack, exactly one, or spill over
-        numeric = numerical_transition_matrix(SpinBosonParams(beta0=0.1, n_max=n_max))
+    @pytest.mark.parametrize("chunk", [299, 300, 301, 302])
+    def test_chunk_seams(self, monkeypatch, chunk):
+        # n_max = 300 at beta0 = 0.1: the 301 full blocks n0 = 0 .. 300 spill
+        # over one stack, fill exactly one, or leave it room
+        monkeypatch.setattr(spinboson, "_CHUNK", chunk)
+        numeric = numerical_transition_matrix(SpinBosonParams(beta0=0.1))
         np.testing.assert_allclose(numeric.entries.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         analytic = analytic_transition_matrix(0.1)
         assert np.abs(numeric.entries - analytic.entries).max() <= 1e-12

@@ -26,9 +26,11 @@ or of the column sums.  :func:`grid_pass` evaluates the lines the
 inequalities need (<dQ>, <dS>, both KL sides) over a beta grid as arrays, a
 block of beta rows at a time; :func:`inequality_suite` reduces them to
 worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
-values (the sweep, the entropy argmax and ``slope_numeric`` read its rows
-too); the scalar per-beta functions (:func:`heat_and_entropy_change`,
-:func:`clausius_bounds`, ...) are its reference, and
+values (the sweep and ``slope_numeric`` read its rows too); the exact
+beta-derivatives, which the tangent at beta0 and the entropy argmax read,
+come from :func:`_beta_slopes`.  The scalar per-beta functions
+(:func:`heat_and_entropy_change`, :func:`clausius_bounds`, ...) are the
+grid's reference, and
 :func:`j_heat_expectation` and :func:`general_j_expectation` keep the
 J-equations' double sums.
 """
@@ -310,6 +312,25 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
         kl_after[rows] = np.sum(q * (log_q - log_q0), axis=1)
         kl_before[rows] = np.sum(p * (log_p - G.log_p0), axis=1)
     return GridPass(G.beta0, betas, dq, ds, kl_after, kl_before)
+
+
+def _beta_slopes(G: GibbsMatrix, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Exact d(beta <dQ>)/dbeta and d<dS>/dbeta at each beta: with dp = -p (E - <E>)
+    the derivative of the Gibbs row p and dq = T dp that of q = T p, they are
+    E.(q - p) + beta E.(dq - dp) and dp.(log p - log d) - dq.(log q - log d)
+    (0 log 0 = 0).  At beta0 both are the tangent slope of linear response."""
+    betas = _float_array(betas, "betas")
+    system, t_entries, energies = G.system, G.matrix.entries, G.system.energies
+    log_d = np.log(system.degeneracy_weights())
+    log_p, _ = gibbs_log_weights(system, betas)
+    p = np.exp(log_p)
+    p /= p.sum(axis=-1, keepdims=True)
+    q = np.clip(p @ t_entries.T, 0.0, 1.0)
+    dp = -p * (energies - (p @ energies)[..., None])
+    dq = dp @ t_entries.T
+    log_pd, log_qd = (np.log(np.where(w > 0.0, w, 1.0)) - log_d for w in (p, q))
+    heat = (q - p) @ energies + betas * ((dq - dp) @ energies)
+    return heat, np.sum(dp * log_pd, axis=-1) - np.sum(dq * log_qd, axis=-1)
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:

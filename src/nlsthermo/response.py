@@ -7,8 +7,8 @@ slope ``a`` is computed here along four independent routes:
 * ``slope_symmetrized``: the manifestly nonnegative quadratic form
   (beta0/4) sum_{nm} (T[n,m] p0_m + T[m,n] p0_n)(E_m - E_n)^2;
 * ``slope_fluctuation``: (beta0/2) Var(dQ) at the fixed point;
-* the exact tangent d(beta <dQ>)/dbeta, with d<dS>/dbeta, at beta0: one
-  matrix-vector product on the certified table (log p0, rho).
+* the exact tangent d(beta <dQ>)/dbeta, with d<dS>/dbeta, at beta0, from
+  ``fluctuation._beta_slopes``, which also locates the entropy extremum.
 
 :func:`slope_suite` is the one judge of the four routes: it reports, and
 never raises, their agreement, their nonnegativity and the common tangent.
@@ -39,7 +39,7 @@ from .core import (
     _float_array,
     delta_q_table,
 )
-from .fluctuation import _marginal_changes, compare, grid_pass
+from .fluctuation import _beta_slopes, _marginal_changes, compare, grid_pass
 
 __all__ = [
     "WeakCouplingFit",
@@ -106,21 +106,6 @@ def slope_fluctuation(G: GibbsMatrix) -> float:
     return 0.5 * G.beta0 * k2
 
 
-def _tangents(G: GibbsMatrix) -> tuple[float, float]:
-    """Exact slopes of beta <dQ> and of <dS> at beta0.  With dp = -p0 (E - <E>),
-    the beta derivative of the Gibbs state, and dq = T dp, they are
-    E.(q0 - p0) + beta0 E.(dq - dp) and
-    sum dp (log p0 - log d) - sum dq (log q0 - log d), read from the certified
-    table: q0 = rho p0, and rho, within FIXED_POINT_TOL of 1, has a finite log."""
-    energies, log_d = G.system.energies, np.log(G.system.degeneracy_weights())
-    p0 = G.fixed_point.weights
-    dp = -p0 * (energies - p0 @ energies)
-    dq = G.matrix.entries @ dp
-    heat = energies @ ((G.rho - 1.0) * p0) + G.beta0 * (energies @ (dq - dp))
-    entropy = dp @ (G.log_p0 - log_d) - dq @ (np.log(G.rho) + G.log_p0 - log_d)
-    return float(heat), float(entropy)
-
-
 def _fd_slopes(G: GibbsMatrix) -> tuple[float, float]:
     """Central differences of beta <dQ> and of <dS> at beta0, both read from
     one :func:`grid_pass` over beta0 +/- h.  The step is fixed at
@@ -151,7 +136,8 @@ def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
     against ``direct``, and the common tangent of beta <dQ> and <dS>, all to
     ``CLOSED_FORM_RTOL`` relative to max(1, |a|); nonnegativity of all four."""
     direct, symmetrized = slope_direct(G), slope_symmetrized(G)
-    fluctuation, (tangent, entropy_tangent) = slope_fluctuation(G), _tangents(G)
+    fluctuation = slope_fluctuation(G)
+    (tangent,), (entropy_tangent,) = _beta_slopes(G, [G.beta0])
     scale = max(1.0, abs(direct))
     return [
         compare("slope agreement: |direct - symmetrized| <= 1e-9 max(1, |a|)",
@@ -177,13 +163,23 @@ def cumulant_deviation(G: GibbsMatrix, t):
     The remainder is third order in t, and k1 vanishes at the fixed point up
     to rounding.  An array of t gives its scalar values bit for bit, from
     one heat table.
+
+    t is in units of inverse energy, so the check is not unit-free: scaled
+    energies can make a generating value <exp(t dQ)> overflow, and that
+    raises :class:`EvaluationError` naming its t (ROADMAP.md keeps the
+    unit-free form open).
     """
     t = _float_array(t, "t")
-    if np.any(np.abs(t) > 0.1):
+    if not np.all(np.abs(t) <= 0.1):  # also a NaN, which would read as an overflow below
         raise InvalidInputError("cumulant check is meant for |t| <= 0.1")
     joint, dq, k1, k2 = _heat_cumulants(G)
-    generating = np.reshape([math.log(_expectation_sum(joint, np.exp(s * dq)))
-                             for s in t.flat], t.shape)
+    with np.errstate(over="ignore"):  # an overflowed value is named below
+        moments = [_expectation_sum(joint, np.exp(s * dq)) for s in t.flat]
+    for s, moment in zip(t.flat, moments):
+        if not math.isfinite(moment):
+            raise EvaluationError(
+                f"the generating value <exp(t dQ)> overflows at t={float(s)!r}")
+    generating = np.reshape([math.log(moment) for moment in moments], t.shape)
     deviation = np.abs(generating - (k1 * t + 0.5 * k2 * t * t))
     return float(deviation) if t.ndim == 0 else deviation
 

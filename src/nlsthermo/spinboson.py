@@ -39,7 +39,7 @@ from .core import (
     LevelSystem,
     TransitionMatrix,
 )
-from .fluctuation import grid_pass
+from .fluctuation import _beta_slopes, heat_and_entropy_change
 
 __all__ = [
     "SpinBosonParams",
@@ -72,10 +72,6 @@ _ORACLE_MIN_BETA0 = 1e-6
 #: full blocks per stacked diagonalization, which keeps every array of the
 #: oracle O(chunk levels^2) for any beta0
 _CHUNK = 1024
-
-#: betas per bracket round of :func:`delta_s_argmax`; each round shrinks the
-#: bracket to 2 of its 32 intervals
-_ARGMAX_POINTS = 33
 
 #: smallest beta0 whose closed-form entries all evaluate: from 2^-52 down,
 #: e^{beta0/2} rounds to 1 and atanh(e^{-beta0/2}) diverges
@@ -288,20 +284,17 @@ def numerical_transition_matrix(params: SpinBosonParams) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 
 def delta_s_argmax(beta0: float) -> float:
-    """Inverse temperature in (0, beta0) maximizing |<dS>|.
-
-    Each round evaluates |<dS>| of a Gibbs initial state at
-    ``_ARGMAX_POINTS`` evenly spaced betas of the bracket, starting from
-    [0, beta0], in one :func:`~nlsthermo.fluctuation.grid_pass`, and keeps
-    the two neighbours of the sampled maximum as the next bracket; once the
-    bracket is below 1e-6 its midpoint is returned.  A unimodal |<dS>| keeps
-    its maximizer inside every bracket; when no interior extremum exists the
-    bracket closes on the better boundary.
-    """
+    """Inverse temperature in (0, beta0) maximizing |<dS>|: the sign change of
+    the exact d<dS>/dbeta, bisected on [0, beta0] down to adjacent doubles.
+    With no sign change, the boundary of larger |<dS>| is returned."""
     G = spin1_gibbs_matrix(beta0)  # rejects a beta0 outside the closed form's range
     lo, hi = 0.0, G.beta0
-    while hi - lo > 1e-6:
-        betas = np.linspace(lo, hi, _ARGMAX_POINTS)
-        i = int(np.argmax(np.abs(grid_pass(G, betas).ds)))
-        lo, hi = float(betas[max(i - 1, 0)]), float(betas[min(i + 1, _ARGMAX_POINTS - 1)])
-    return 0.5 * (lo + hi)
+    rising, rising_at_hi = _beta_slopes(G, [lo, hi])[1] > 0.0
+    if rising == rising_at_hi:
+        return max((lo, hi), key=lambda beta: abs(heat_and_entropy_change(G, beta)[1]))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (_beta_slopes(G, [mid])[1][0] > 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return mid

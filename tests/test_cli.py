@@ -310,6 +310,23 @@ class TestUnitRescaling:
         path.write_text(json.dumps(obj))
         assert run_cli("verify", "--input", str(path), "--suite", "slopes") == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, seed", [(8, 0), (32, 1)])
+    def test_an_overflowing_cumulant_names_its_t_and_writes_no_report(self, n, seed,
+                                                                      tmp_path, capsys):
+        """At E x 2^20 the fixed t grid overflows <exp(t dQ)>: verify exits 1
+        naming that t, where it used to write NaN into the cumulant line."""
+        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+        assert run_cli("gen", str(n), "--seed", str(seed), "--out", str(path)) == 0
+        obj = json.loads(path.read_text())
+        obj["energies"] = [math.ldexp(e, 20) for e in obj["energies"]]
+        obj["beta0"] = math.ldexp(obj["beta0"], -20)
+        path.write_text(json.dumps(obj))
+        assert run_cli("verify", "--input", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: the generating value <exp(t dQ)> overflows at t=0.1\n")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_example_passes(self, tmp_path, capsys):
@@ -675,7 +692,7 @@ class TestOneEvaluator:
         """The J lines come from the certification, so verify forms the grid
         once for the inequality suite and not otherwise."""
         calls = []
-        for module in (cli, response, spinboson):
+        for module in (cli, response):
             original = module.grid_pass
             monkeypatch.setattr(module, "grid_pass", lambda *args, _original=original:
                                 calls.append(1) or _original(*args))

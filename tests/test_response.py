@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlsthermo import response
 from nlsthermo.core import (
+    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
@@ -19,10 +20,9 @@ from nlsthermo.core import (
     certify_gibbs_matrix,
     make_gibbs_state,
 )
-from nlsthermo.fluctuation import grid_pass, heat_and_entropy_change
+from nlsthermo.fluctuation import _beta_slopes, grid_pass, heat_and_entropy_change
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.response import (
-    _tangents,
     clausius_equality_residual,
     cumulant_deviation,
     cumulant_suite,
@@ -90,7 +90,7 @@ class TestSlopeRoutes:
         direct = slope_direct(G)
         assert slope_fluctuation(G) == pytest.approx(direct, rel=1e-9)
         assert slope_symmetrized(G) == pytest.approx(direct, rel=1e-9)
-        assert _tangents(G)[0] == pytest.approx(direct, rel=1e-12)
+        assert _beta_slopes(G, [G.beta0])[0][0] == pytest.approx(direct, rel=1e-12)
 
     def test_random_instances_validate_as_bundles(self):
         """The suite's agreement lines of the four routes, at their bounds."""
@@ -107,7 +107,7 @@ class TestSlopeRoutes:
         tangents."""
         G = spin1_gibbs_matrix(1.0)
         reports = slope_suite(G)
-        heat, entropy = _tangents(G)
+        (heat,), (entropy,) = _beta_slopes(G, [G.beta0])
         routes = (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G), heat)
         direct = routes[0]
         assert [r.lhs for r in reports] == [
@@ -127,8 +127,8 @@ class TestSlopeRoutes:
         """Both central differences approach the exact tangents as O(h^2)."""
         G = random_gibbs_instance(5, 321)
         h = 1e-3
-        for fd_h, fd_half, exact in zip(scalar_fd_slopes(G, h), scalar_fd_slopes(G, h / 2),
-                                        _tangents(G)):
+        for fd_h, fd_half, (exact,) in zip(scalar_fd_slopes(G, h), scalar_fd_slopes(G, h / 2),
+                                           _beta_slopes(G, [G.beta0])):
             assert 3.0 <= abs(fd_h - exact) / abs(fd_half - exact) <= 5.0
 
     def test_fixed_step_scales_with_beta0(self):
@@ -209,7 +209,9 @@ class TestUnitCovariance:
                                                    system.degeneracies),
                              math.ldexp(G.beta0, -k))
         assert np.array_equal(scaled.rho, G.rho)
-        assert _tangents(scaled) == tuple(math.ldexp(slope, k) for slope in _tangents(G))
+        for scaled_slopes, slopes in zip(_beta_slopes(scaled, [scaled.beta0]),
+                                         _beta_slopes(G, [G.beta0])):
+            assert np.array_equal(scaled_slopes, np.ldexp(slopes, k))
         assert slope_direct(scaled) == math.ldexp(slope_direct(G), k)
 
 
@@ -243,6 +245,18 @@ class TestFixedPointZeros:
 
 
 class TestCumulantTruncation:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_generating_value_names_its_t(self):
+        # a heat of 1e3 overflows exp(t dQ) at t = 0.1 but not at t = 0.05
+        system = LevelSystem([0.0, 1e4], [1, 1])
+        p0 = make_gibbs_state(system, 1e-3).weights
+        up = 0.5 * p0[1] / p0[0]  # detailed balance with the downward 0.5
+        T = TransitionMatrix(np.array([[1.0 - up, 0.5], [up, 0.5]]))
+        G = GibbsMatrix(T, system, 1e-3)
+        assert math.isfinite(cumulant_deviation(G, 0.05))
+        with pytest.raises(EvaluationError, match=re.escape("overflows at t=0.1")):
+            cumulant_deviation(G, [0.05, 0.1])
+
     def test_zero_t_has_zero_deviation(self):
         G = spin1_gibbs_matrix(1.0)
         assert cumulant_deviation(G, 0.0) <= 1e-14
@@ -269,6 +283,10 @@ class TestCumulantTruncation:
     def test_large_t_is_rejected(self):
         with pytest.raises(InvalidInputError):
             cumulant_deviation(spin1_gibbs_matrix(1.0), 0.2)
+
+    def test_nan_t_is_rejected(self):
+        with pytest.raises(InvalidInputError, match=re.escape("|t| <= 0.1")):
+            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.05, math.nan])
 
     @pytest.mark.parametrize("build", [
         lambda: spin1_gibbs_matrix(1.0),
@@ -357,23 +375,26 @@ class TestNewtonCooling:
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def exact_slopes(G):
+def exact_slopes(G, beta=None):
     """Each slope route's value at 50 digits, with the double entries,
-    energies, degeneracies and beta0 taken as exact, and the sum of the
-    magnitudes of the operands it adds: {route: (value, magnitude)}.  Where
-    the route subtracts (q0 - p0, dq - dp, E - <E>) the operands count, and
-    a log p0 counts as |log d| + |beta0 E| + |log Z|, its parts."""
+    energies, degeneracies, beta0 and ``beta`` (default beta0) taken as
+    exact, and the sum of the magnitudes of the operands it adds:
+    {route: (value, magnitude)}.  The three closed forms are at beta0, the
+    two derivative columns of ``_beta_slopes`` at ``beta``.  Where a route
+    subtracts (q - p, dq - dp, E - <E>) the operands count, a log p counts
+    as |log d| + |beta E| + |log Z|, its parts, and a log q as |log q|."""
     with mpmath.workdps(50):
         t = [[mpmath.mpf(float(x)) for x in row] for row in G.matrix.entries]
         e = [mpmath.mpf(float(x)) for x in G.system.energies]
         d = [int(x) for x in G.system.degeneracies]
         levels, beta0 = range(len(e)), mpmath.mpf(G.beta0)
-        p0 = exact_gibbs(G.system, beta0)
-        log_z = mpmath.log(mpmath.fsum(d[m] * mpmath.exp(-beta0 * e[m]) for m in levels))
-        mean = mpmath.fsum(p0[m] * e[m] for m in levels)
-        dp = [-p0[m] * (e[m] - mean) for m in levels]
-        q0, dq = ([mpmath.fsum(t[m][n] * v[n] for n in levels) for m in levels] for v in (p0, dp))
-        abs_dp = [p0[m] * (abs(e[m]) + abs(mean)) for m in levels]
+        beta = beta0 if beta is None else mpmath.mpf(beta)
+        p0, p = exact_gibbs(G.system, beta0), exact_gibbs(G.system, beta)
+        log_z = mpmath.log(mpmath.fsum(d[m] * mpmath.exp(-beta * e[m]) for m in levels))
+        mean = mpmath.fsum(p[m] * e[m] for m in levels)
+        dp = [-p[m] * (e[m] - mean) for m in levels]
+        q, dq = ([mpmath.fsum(t[m][n] * v[n] for n in levels) for m in levels] for v in (p, dp))
+        abs_dp = [p[m] * (abs(e[m]) + abs(mean)) for m in levels]
         abs_dq = [mpmath.fsum(t[m][n] * abs_dp[n] for n in levels) for m in levels]
         pairs = [(m, n) for m in levels for n in levels]
         # row n, column m of T, as slope_direct sums them
@@ -382,18 +403,20 @@ def exact_slopes(G):
                        for n, m in pairs]
         k1 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) for m, n in pairs)
         k2 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) ** 2 for m, n in pairs)
-        heat = mpmath.fsum(e[m] * (q0[m] - p0[m]) + beta0 * e[m] * (dq[m] - dp[m])
+        heat = mpmath.fsum(e[m] * (q[m] - p[m]) + beta * e[m] * (dq[m] - dp[m])
                            for m in levels)
-        entropy = mpmath.fsum(dp[m] * (mpmath.log(p0[m] / d[m]))
-                              - dq[m] * (mpmath.log(q0[m] / d[m])) for m in levels)
+        entropy = mpmath.fsum(dp[m] * (mpmath.log(p[m] / d[m]))
+                              - dq[m] * (mpmath.log(q[m] / d[m])) for m in levels)
         routes = {
             "direct": (mpmath.fsum(direct), mpmath.fsum(map(abs, direct))),
             "symmetrized": (mpmath.fsum(symmetrized), mpmath.fsum(symmetrized)),
             "fluctuation": (beta0 / 2 * (k2 - k1 * k1), beta0 / 2 * (k2 + k1 * k1)),
             "heat tangent": (heat, mpmath.fsum(
-                abs(e[m]) * (q0[m] + p0[m] + beta0 * (abs_dq[m] + abs_dp[m])) for m in levels)),
+                abs(e[m]) * (q[m] + p[m] + abs(beta) * (abs_dq[m] + abs_dp[m]))
+                for m in levels)),
             "entropy tangent": (entropy, mpmath.fsum(
-                (abs_dp[m] + abs_dq[m]) * (1 + mpmath.log(d[m]) + abs(beta0 * e[m]) + abs(log_z))
+                abs_dp[m] * (1 + mpmath.log(d[m]) + abs(beta * e[m]) + abs(log_z))
+                + abs_dq[m] * (1 + mpmath.log(d[m]) + abs(mpmath.log(q[m])))
                 for m in levels)),
         }
         return {route: (float(value), float(size)) for route, (value, size) in routes.items()}
@@ -410,12 +433,24 @@ class TestExactSlopeReference:
         G = build()
         computed = dict(zip(("direct", "symmetrized", "fluctuation"),
                             (slope_direct(G), slope_symmetrized(G), slope_fluctuation(G))))
-        computed["heat tangent"], computed["entropy tangent"] = _tangents(G)
+        (computed["heat tangent"],), (computed["entropy tangent"],) = _beta_slopes(G, [G.beta0])
         for route, (exact, magnitude) in exact_slopes(G).items():
             assert abs(computed[route] - exact) <= 4 * G.size * UNIT_ROUNDOFF * magnitude, route
 
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_beta_slopes_lie_within_rounding_away_from_beta0(self, build):
+        G = build()
+        betas = [-G.beta0, 0.0, G.beta0 / 2, 2 * G.beta0]
+        bound = 4 * G.size * UNIT_ROUNDOFF
+        for beta, heat, entropy in zip(betas, *_beta_slopes(G, betas)):
+            exact = exact_slopes(G, beta)
+            for route, computed in (("heat tangent", heat), ("entropy tangent", entropy)):
+                value, magnitude = exact[route]
+                assert abs(computed - value) <= bound * magnitude, (beta, route)
+
     def test_direct_and_tangent_agree_far_inside_the_line(self):
-        worst = max(abs(slope_direct(G) - _tangents(G)[0]) / max(1.0, abs(slope_direct(G)))
+        worst = max(abs(slope_direct(G) - _beta_slopes(G, [G.beta0])[0][0])
+                    / max(1.0, abs(slope_direct(G)))
                     for G in (case.values[0]() for case in EXACT_CASES))
         assert worst <= 1e-12
 

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nlsthermo import fluctuation, spinboson
+from nlsthermo import spinboson
 from nlsthermo.core import (GibbsMatrix, InvalidInputError, TransitionMatrix,
                             certify_gibbs_matrix, make_gibbs_state, propagate)
 from nlsthermo.fluctuation import (grid_pass, heat_and_entropy_change, inequality_suite,
@@ -369,34 +369,47 @@ class TestLadderOracle:
             assert np.abs(other - results[0]).max() <= 1e-10
 
 
-def golden_section_argmax(beta0):
-    """The maximizer of |<dS>| on (0, beta0) by golden-section search on the
-    scalar reference, to a bracket below 1e-6: an independent route."""
-    G = spin1_gibbs_matrix(beta0)
+#: the root of d<dS>/dbeta on the closed form at beta0 = 1, to 17 digits
+ARGMAX_AT_ONE = 0.27989550393887651
 
-    def magnitude(beta):
-        return abs(heat_and_entropy_change(G, beta)[1])
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, G.beta0
-    left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    f_left, f_right = magnitude(left), magnitude(right)
-    while hi - lo > 1e-6:
-        if f_left > f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - inv_phi * (hi - lo)
-            f_left = magnitude(left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + inv_phi * (hi - lo)
-            f_right = magnitude(right)
-    return 0.5 * (lo + hi)
+def exact_entropy_root(beta0, guess):
+    """The root of d<dS>/dbeta on the closed-form matrix at beta0, both in
+    40-digit arithmetic (Lerch's transcendent from mpmath's ``lerchphi``),
+    found from ``guess`` by ``findroot``: an independent route."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta0)
+        x, h, s = mpmath.exp(b), mpmath.exp(b / 2), mpmath.sinh(b / 2)
+        u, phi = mpmath.atanh(1 / h), mpmath.lerchphi(mpmath.exp(-b), 2, mpmath.mpf(3) / 2)
+        t = [[(x - 1) / 32 * (12 / (x - 1) + 8 * h * u + 3 / x * phi - 8),
+              (1 - 2 * s * u) / 4,
+              mpmath.mpf(3) / 32 * mpmath.exp(-3 * b) * (4 * x - (x - 1) * phi)],
+             [x * (1 - 2 * s * u) / 4, mpmath.mpf(1) / 2,
+              mpmath.exp(-3 * b / 2) * (h + (x - 1) * u) / 4],
+             [mpmath.mpf(3) / 32 * mpmath.exp(-b) * (4 * x - (x - 1) * phi),
+              (2 * s * u + 1) / 4,
+              (4 * x * x * (11 * mpmath.sinh(b) + 5 * mpmath.cosh(b) - 4 * s * u - 2)
+               + 3 * (x - 1) * phi) / (32 * x ** 3)]]
+        energies = (1, 0, -1)
+
+        def entropy_slope(beta):
+            w = [mpmath.exp(-beta * e) for e in energies]
+            p = [v / mpmath.fsum(w) for v in w]
+            mean = mpmath.fsum(pm * e for pm, e in zip(p, energies))
+            dp = [-pm * (e - mean) for pm, e in zip(p, energies)]
+            q, dq = ([mpmath.fsum(t[m][n] * v[n] for n in range(3)) for m in range(3)]
+                     for v in (p, dp))
+            return mpmath.fsum(dp[m] * mpmath.log(p[m]) - dq[m] * mpmath.log(q[m])
+                               for m in range(3))
+
+        return float(mpmath.findroot(entropy_slope, mpmath.mpf(guess)))
 
 
 class TestEntropyTransferExtremum:
     def test_location_matches_the_quantitative_anchor(self):
         found = delta_s_argmax(1.0)
-        assert found == pytest.approx(0.279896, abs=1e-3)
+        assert round(found, 6) == 0.279896
+        assert abs(found - ARGMAX_AT_ONE) <= 1e-13
 
     def test_magnitude_beats_the_high_temperature_end(self):
         G = spin1_gibbs_matrix(1.0)
@@ -414,22 +427,16 @@ class TestEntropyTransferExtremum:
         with pytest.raises(InvalidInputError):
             delta_s_argmax(-2.0)
 
-    @pytest.mark.parametrize("beta0", np.geomspace(1e-3, 10.0, 13).tolist())
-    def test_matches_the_golden_section_reference(self, beta0):
-        assert abs(delta_s_argmax(beta0) - golden_section_argmax(beta0)) <= 1e-6
+    @pytest.mark.parametrize("beta0, bound", [(0.1, 1e-13), (0.5, 1e-13), (1.0, 1e-13),
+                                              (2.0, 1e-13), (5.0, 1e-13), (10.0, 2e-12)])
+    def test_matches_the_40_digit_root(self, beta0, bound):
+        # at beta0 = 10 the double entries are about 1e-12 from the closed form
+        found = delta_s_argmax(beta0)
+        assert abs(found - exact_entropy_root(beta0, found)) <= bound
 
-    def test_each_round_is_one_grid_pass(self, monkeypatch):
-        """Rounds of 33 betas, each bracket the sampled maximum's neighbours,
-        until it is below 1e-6: five rounds from [0, 1]."""
-        rounds = []
-        grid_pass = fluctuation.grid_pass
-        monkeypatch.setattr(spinboson, "grid_pass",
-                            lambda G, betas: rounds.append(betas) or grid_pass(G, betas))
-        found = delta_s_argmax(1.0)
-        assert [len(betas) for betas in rounds] == [33] * 5
-        assert (rounds[0][0], rounds[0][-1]) == (0.0, 1.0)
-        for before, after in zip(rounds, rounds[1:]):
-            lo = before.tolist().index(after[0])
-            assert after[-1] == before[lo + 2]
-        assert rounds[-1][-1] - rounds[-1][0] < 16e-6
-        assert rounds[-1][0] < found < rounds[-1][-1]
+    def test_without_a_sign_change_the_larger_boundary_wins(self, monkeypatch):
+        monkeypatch.setattr(spinboson, "_beta_slopes",
+                            lambda G, betas: (np.ones(len(betas)),) * 2)
+        G = spin1_gibbs_matrix(1.0)
+        edges = {beta: abs(heat_and_entropy_change(G, beta)[1]) for beta in (0.0, 1.0)}
+        assert delta_s_argmax(1.0) == max(edges, key=edges.get) == 0.0

@@ -7,8 +7,8 @@ matrix with a Gibbs fixed point:
 
 * Gibbs states, left stochastic matrices, two-point measurement statistics,
   entropies and divergences (:mod:`nlsthermo.core`);
-* Jarzynski-type J-equations, reported as the bounds certification gives
-  at every beta, and the Clausius, heat-flow, entropy-flow, and
+* Jarzynski-type J-equations, bounded at every beta by the fixed-point and
+  column-sum certification lines, and the Clausius, heat-flow, entropy-flow, and
   KL-contraction inequalities, with :func:`~nlsthermo.fluctuation.grid_pass`
   the one evaluator of a Gibbs matrix's per-beta values and the scalar
   per-beta functions kept as its reference (:mod:`nlsthermo.fluctuation`);

@@ -17,7 +17,10 @@ The conventions used throughout the package:
   Its rules live here only.  The fixed point is certified relatively:
   rho = T p0 / p0, one dense sum in log space, has max |rho - 1| <=
   ``FIXED_POINT_TOL`` (so max |T p0 - p0| <= tol too, as p0 <= 1).  At every
-  beta that gives |J_heat - 1| <= max |rho - 1| and, by KL contraction,
+  beta that gives |J_heat - 1| <= max |rho - 1|, the column-sum line gives
+  |J_general - 1| <= max |column sum - 1| (both J values are convex
+  combinations, so these two lines are the J-equation checks), and, by KL
+  contraction,
   <dS> - beta0 <dQ> = S(p || p0) - S(q || T p0) - sum_m q_m log rho_m
   >= -log(1 + tol).  A :class:`GibbsMatrix` is certified once, by its
   constructor, and keeps the lines and the table (log p0, rho) the grid reads.

@@ -20,9 +20,11 @@ Gibbs inequality): directed heat flow, the two-sided Clausius bound
 inverse temperatures, contraction of the KL divergence under stochastic
 maps, and the bi-stochastic (pure work) limit ``0 <= <dS> <= beta <w>``.
 
-:func:`jequation_suite` reads both J-equations from the certification: at
-every beta each J value is a convex combination of the fixed-point ratios
-or of the column sums.  :func:`grid_pass` evaluates the lines the
+The certification of a Gibbs matrix carries both J-equations: at every
+beta the heat value is p @ rho (p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) /
+Z(beta)) and the general value with ptilde = q is sum_n p_n (column sum)_n,
+convex combinations, so the fixed-point and column-sum lines bound |J - 1|
+on every grid.  :func:`grid_pass` evaluates the lines the
 inequalities need (<dQ>, <dS>, both KL sides) over a beta grid as arrays, a
 block of beta rows at a time; :func:`inequality_suite` reduces them to
 worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
@@ -31,8 +33,8 @@ beta-derivatives, which the tangent at beta0 and the entropy argmax read,
 come from :func:`_beta_slopes`.  The scalar per-beta functions
 (:func:`heat_and_entropy_change`, :func:`clausius_bounds`, ...) are the
 grid's reference, and
-:func:`j_heat_expectation` and :func:`general_j_expectation` keep the
-J-equations' double sums.
+:func:`j_heat_expectation` and :func:`general_j_expectation`, the
+J-equations' double sums, are the reference for the certified bounds.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .core import (
 
 __all__ = [
     "SLACK_TOL",
-    "J_EQUATION_TOL",
     "ClausiusBounds",
     "GridPass",
     "compare",
@@ -75,15 +76,11 @@ __all__ = [
     "kl_monotonicity_check",
     "bistochastic_work_check",
     "grid_pass",
-    "jequation_suite",
     "inequality_suite",
 ]
 
 #: one-sided slack allowed below zero before an inequality counts as violated
 SLACK_TOL = 1e-12
-
-#: J-equation values may deviate from one by at most this much over a grid
-J_EQUATION_TOL = 1e-10
 
 #: beta rows :func:`grid_pass` evaluates together; temporaries stay near
 #: 2 MB at N = 96
@@ -172,8 +169,8 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     is assembled in log space (log T + log p_n - (beta - beta0)(E_m - E_n))
     and exponentiated individually.  The large exponents of wide sweeps
     should cancel, but near |beta| = 1e300 their rounding alone can exceed
-    the double range, and the value is then inf (the bound
-    :func:`jequation_suite` reads from the certification is not).
+    the double range, and the value is then inf (the fixed-point line of
+    ``G.certification``, which bounds |value - 1| at every beta, is not).
     """
     log_p, _ = gibbs_log_weights(G.system, beta)
     dbeta = float(beta) - G.beta0
@@ -337,25 +334,6 @@ def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:
     """Report ``lhs <= rhs`` at the first grid point of least slack."""
     i = int(np.argmin(rhs - lhs))
     return compare(f"{label} [beta={betas[i]:.17g}]", lhs[i], rhs[i])
-
-
-def jequation_suite(G: GibbsMatrix) -> list[InequalityReport]:
-    """Both J-equations at every beta, read from the certification of ``G``.
-
-    With p0 the Gibbs state at beta0 and rho = T p0 / p0, the heat value is
-    exactly p @ rho at any beta (p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) /
-    Z(beta)), a convex combination of rho; the general value with ptilde = q
-    is sum_n p_n (column sum)_n.  So max |rho - 1| and max |column sum - 1|,
-    the values of two certification lines, bound |J - 1| on every grid, and
-    each line compares its bound with ``J_EQUATION_TOL``.
-    """
-    column_sum, fixed_point, _ = G.certification
-    return [
-        compare("j-equation (heat): max |rho - 1| bounds "
-                "|<e^{-(beta-beta0) dQ}> - 1| at every beta", fixed_point.lhs, J_EQUATION_TOL),
-        compare("j-equation (general, ptilde = q): max |column sum - 1| bounds "
-                "|value - 1| at every beta", column_sum.lhs, J_EQUATION_TOL),
-    ]
 
 
 def inequality_suite(grid: GridPass) -> list[InequalityReport]:

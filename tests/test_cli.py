@@ -349,13 +349,21 @@ class TestVerify:
         assert "ms" not in captured.out
         json.loads(captured.out)
 
-    def test_suite_subsets(self, capsys):
+    def test_suite_subsets(self, capsys, tmp_path):
         assert run_cli("verify", "--random", "3", "--seed", "5",
-                       "--suite", "jequation") == 0
+                       "--suite", "slopes") == 0
         report = json.loads(capsys.readouterr().out)
         labels = [c["label"] for c in report["checks"]]
-        assert any("j-equation" in label for label in labels)
+        assert any(label.startswith("slope agreement") for label in labels)
         assert not any("clausius" in label for label in labels)
+        # the certification lines carry the J-equations: no suite repeats them
+        out = tmp_path / "vj.json"
+        result = run_process("verify", "--random", "3", "--suite", "jequation",
+                             "--out", str(out))
+        assert result.returncode == 2
+        assert "invalid choice" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_corrupted_matrix_fails_certification(self, tmp_path, capsys):
         good = tmp_path / "good.json"
@@ -682,15 +690,15 @@ class TestOneEvaluator:
         assert calls == []
 
     @pytest.mark.parametrize("suites, passes", [
-        (("jequation",), 0),
-        (("jequation", "slopes", "cumulant"), 0),
+        (("slopes",), 0),
+        (("slopes", "cumulant"), 0),
         (("inequalities",), 1),
         ((), 1),
-    ], ids=["jequation", "no-inequalities", "inequalities", "all"])
+    ], ids=["slopes", "no-inequalities", "inequalities", "all"])
     def test_only_the_inequality_suite_reads_a_grid(self, suites, passes, monkeypatch,
                                                      capsys):
-        """The J lines come from the certification, so verify forms the grid
-        once for the inequality suite and not otherwise."""
+        """Verify forms the grid once for the inequality suite and not
+        otherwise."""
         calls = []
         for module in (cli, response):
             original = module.grid_pass
@@ -698,10 +706,7 @@ class TestOneEvaluator:
                                 calls.append(1) or _original(*args))
         argv = ["verify", "--random", "8"] + [f"--suite={suite}" for suite in suites]
         assert run_cli(*argv) == 0
-        checks = json.loads(capsys.readouterr().out)["checks"]
         assert len(calls) == passes
-        assert any(c["label"].startswith("j-equation") for c in checks) == (
-            "jequation" in suites or not suites)
 
 
 class TestExitContract:

@@ -28,7 +28,6 @@ from nlsthermo.core import (
 )
 from nlsthermo.fluctuation import (
     BLOCK_ROWS,
-    J_EQUATION_TOL,
     bistochastic_work_check,
     clausius_bounds,
     compare,
@@ -39,7 +38,6 @@ from nlsthermo.fluctuation import (
     heat_flow_check,
     inequality_suite,
     j_heat_expectation,
-    jequation_suite,
     kl_monotonicity_check,
 )
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
@@ -403,18 +401,24 @@ class TestGridPass:
         assert contraction.slack == pytest.approx(min(kl_before - kl_after), abs=DIFF_TOL)
         assert all(c.holds for c in (flow, lower, upper, entropy_flow, contraction))
 
-    def test_j_lines_are_the_certified_bounds(self, build):
+    def test_certification_bounds_both_j_equations(self, build):
+        """J_heat(beta) = p(beta) @ rho and J_general(beta) = p(beta) @ (column
+        sums) are convex combinations, so the fixed-point and column-sum lines
+        bound |J - 1| at every beta; these lines are the J-equation checks."""
         G = build()
         column_sum, fixed_point, _ = G.certification
-        heat, general = jequation_suite(G)
-        assert (heat.lhs, general.lhs) == (fixed_point.lhs, column_sum.lhs)
-        assert heat.lhs == np.abs(G.rho - 1.0).max()
-        assert heat.rhs == general.rhs == J_EQUATION_TOL
-        assert heat.holds and general.holds
-        assert heat.label.startswith("j-equation (heat)")
-        assert general.label.startswith("j-equation (general, ptilde = q)")
+        assert fixed_point.lhs == np.abs(G.rho - 1.0).max()
+        assert column_sum.lhs == np.abs(G.matrix.entries.sum(axis=0) - 1.0).max()
+        assert (fixed_point.rhs, column_sum.rhs) == (FIXED_POINT_TOL, SUM_TOL)
+        assert fixed_point.holds and column_sum.holds
+        p = np.exp(gibbs_log_weights(G.system, WIDE_GRID)[0])
+        p /= p.sum(axis=1, keepdims=True)
+        rounding = 4 * G.size * UNIT_ROUNDOFF
+        assert np.abs(p @ G.rho - 1.0).max() <= fixed_point.lhs + rounding
+        sums = G.matrix.entries.sum(axis=0)
+        assert np.abs(p @ sums - 1.0).max() <= column_sum.lhs + rounding
         # the per-point double sum stays within the tolerance on the wide grid
-        assert max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID) <= J_EQUATION_TOL
+        assert max(abs(j_heat_expectation(G, b) - 1.0) for b in WIDE_GRID) <= FIXED_POINT_TOL
 
 
 class TestGridSuites:
@@ -488,7 +492,7 @@ class TestGridSuites:
         rounding for these instances."""
         for seed in range(10):
             G = random_gibbs_instance(n, seed)
-            heat, _ = jequation_suite(G)
+            _, heat, _ = G.certification
             assert heat.lhs <= 1e-14
             for span in (1e20, 1e100, 1e300):
                 p = np.exp(gibbs_log_weights(G.system, np.linspace(-span, span, 101))[0])
@@ -521,7 +525,7 @@ class TestGridSuites:
         assert grid.kl_after.tolist() == grid.kl_before.tolist()
         assert grid.kl_before[1] == 0.0
         assert np.array_equal(grid.dq, [0.0, 0.0])
-        assert all(r.holds for r in jequation_suite(G) + inequality_suite(grid))
+        assert all(r.holds for r in G.certification + tuple(inequality_suite(grid)))
 
 
 def exact_j_reference(G, betas):
@@ -550,14 +554,15 @@ def exact_j_reference(G, betas):
 
 
 class TestExactJReference:
-    """The J lines read the certification, not the double sums: at 50 digits
-    the sums stay within each line at every beta of the default grid's span,
-    and the certified values are the exact maxima, up to 4 N roundings."""
+    """The fixed-point and column-sum certification lines bound the J
+    double sums: at 50 digits the sums stay within each line at every beta
+    of the default grid's span, and the certified values are the exact
+    maxima, up to 4 N roundings."""
 
     @pytest.mark.parametrize("build", EXACT_CASES)
     def test_double_sums_stay_within_the_certified_lines(self, build):
         G = build()
-        heat, general = jequation_suite(G)
+        general, heat, _ = G.certification
         betas = np.linspace(-5.0 * G.beta0, 5.0 * G.beta0, 11)
         rho_dev, column_dev, heat_devs, general_devs = exact_j_reference(G, betas)
         rounding = 4 * G.size * UNIT_ROUNDOFF
@@ -574,7 +579,7 @@ class TestRelativeFixedPoint:
     def test_certified_instances_keep_the_lines_the_ratio_bounds(self, instance):
         """On a certified instance's default grid (201 points over
         +/- 5 beta0, every beta0 drawn here is positive): the pass raises nothing,
-        the heat J line holds, the absolute residual is within the tolerance
+        the fixed-point line holds, the absolute residual is within the tolerance
         too, and <dS> - beta0 <dQ> >= -sum_m q_m log rho_m at every point, up
         to 1e-14 and the rounding of <dQ> (eps max |E|), which beta0 scales."""
         system, raw, beta0 = instance
@@ -584,7 +589,7 @@ class TestRelativeFixedPoint:
         assert np.abs(raw @ p0 - p0).max() <= FIXED_POINT_TOL
         betas = np.linspace(-5.0 * beta0, 5.0 * beta0, 201)
         grid = grid_pass(G, betas)
-        heat, _ = jequation_suite(G)
+        _, heat, _ = G.certification
         assert heat.holds
         rho = G.rho
         p = np.exp(gibbs_log_weights(system, betas)[0])

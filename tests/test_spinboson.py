@@ -11,8 +11,7 @@ import pytest
 from nlsthermo import spinboson
 from nlsthermo.core import (GibbsMatrix, InvalidInputError, TransitionMatrix,
                             certify_gibbs_matrix, make_gibbs_state, propagate)
-from nlsthermo.fluctuation import (grid_pass, heat_and_entropy_change, inequality_suite,
-                                   jequation_suite)
+from nlsthermo.fluctuation import grid_pass, heat_and_entropy_change, inequality_suite
 from nlsthermo.response import cumulant_suite, slope_suite
 from nlsthermo.spinboson import (
     MAX_BETA0,
@@ -358,7 +357,7 @@ class TestLadderOracle:
                         ladder_system(levels), beta0)
         assert np.abs(G.rho - 1.0).max() <= 1e-14
         grid = grid_pass(G, np.linspace(-5.0 * beta0, 5.0 * beta0, 201))
-        lines = (jequation_suite(G) + inequality_suite(grid) + slope_suite(G)
+        lines = (list(G.certification) + inequality_suite(grid) + slope_suite(G)
                  + cumulant_suite(G))
         assert [line.label for line in lines if not line.holds] == []
 

@@ -62,6 +62,62 @@ def ladder_instances():
         st.integers(2, 8), st.floats(0.1, 10.0))
 
 
+def _shell_kernel(size, rng, haar):
+    """|<f|U|i>|^2 on one energy shell: a Haar unitary, the QR of a complex
+    Gaussian with the phase fix (F. Mezzadri, Notices AMS 54, 592, 2007), or
+    the exact time average of a random real symmetric H, sum_k V[f,k]^2 V[i,k]^2."""
+    if haar:
+        q, r = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        return np.abs(q * (np.diag(r) / np.abs(np.diag(r))))**2
+    a = rng.normal(size=(size, size))
+    w = np.linalg.eigh(a + a.T)[1]**2
+    return w @ w.T
+
+
+def thermal_entries(system, beta0, bath_levels, rng, haar):
+    """A thermal operation: the system with integer energies meets a bath
+    ladder with energies 0 .. bath_levels - 1 in its Gibbs state g at beta0,
+    and each total-energy shell evolves by a :func:`_shell_kernel`.  Then
+    T[j, i] = (1/d_i) sum |<j beta a|U|i alpha b>|^2 g_b, and T p0 = p0 by
+    unitarity alone; the time average also keeps detailed balance."""
+    level = np.repeat(np.arange(system.size), system.degeneracies)
+    bath = np.arange(bath_levels)
+    g = np.exp(-beta0 * bath) / np.exp(-beta0 * bath).sum()
+    total = (system.energies[level][:, None] + bath).ravel()
+    kernel = np.zeros((total.size, total.size))
+    for shell in np.unique(total):
+        at = np.flatnonzero(total == shell)
+        kernel[np.ix_(at, at)] = _shell_kernel(at.size, rng, haar)
+    onehot = np.repeat(np.eye(system.size)[level], bath_levels, axis=0)
+    t = onehot.T @ (kernel * np.tile(g, level.size)) @ onehot
+    return t / system.degeneracy_weights()
+
+
+def thermal_draw(seed, haar, bath_levels=None, unit=False):
+    """(system, T, beta0) of :func:`thermal_entries` from one seed: N = 2-6
+    levels with energies 0-3 and degeneracies 1-3 (1 if ``unit``), beta0 in
+    [0.05, 5], and a bath of 4-12 levels unless ``bath_levels`` is given."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    beta0 = rng.uniform(0.05, 5.0)
+    degeneracies = np.ones(n, dtype=int) if unit else rng.integers(1, 4, size=n)
+    system = LevelSystem(rng.integers(0, 4, size=n), degeneracies)
+    levels = int(rng.integers(4, 13)) if bath_levels is None else bath_levels
+    return system, thermal_entries(system, beta0, levels, rng, haar), beta0
+
+
+def thermal_instances(haar=st.booleans()):
+    return st.builds(thermal_draw, st.integers(0, 2**32 - 1), haar)
+
+
+def lift(system, t):
+    """The same instance with each level of degeneracy d split into d unit
+    levels: T_lift[(m, a), (n, b)] = T[m, n] / d_m."""
+    level = np.repeat(np.arange(system.size), system.degeneracies)
+    return (LevelSystem(system.energies[level], np.ones(level.size, dtype=int)),
+            t[np.ix_(level, level)] / system.degeneracy_weights()[level][:, None])
+
+
 def exact_gibbs(system, beta):
     """The Gibbs state at ``beta`` in the working precision of mpmath."""
     w = [int(d) * mpmath.exp(-beta * mpmath.mpf(float(e)))
@@ -76,8 +132,14 @@ def metropolis_gibbs_matrix(n, seed):
     return GibbsMatrix(TransitionMatrix(metropolis_entries(system, 2.0)), system, 2.0)
 
 
+def thermal_gibbs_matrix(seed, haar, **options):
+    system, raw, beta0 = thermal_draw(seed, haar, **options)
+    return GibbsMatrix(TransitionMatrix(raw), system, beta0)
+
+
 #: builders of certified Gibbs matrices: random N = 2-6 x seeds 0-2, spin1 at
-#: five beta0, the ladder oracle for L = 2-6 levels and three Metropolis chains
+#: five beta0, the ladder oracle for L = 2-6 levels, three Metropolis chains
+#: and three thermal operations (time average, Haar, and one bath level)
 EXACT_CASES = (
     [pytest.param(lambda n=n, s=s: random_gibbs_instance(n, s), id=f"random-{n}-{s}")
      for n in range(2, 7) for s in range(3)]
@@ -88,4 +150,7 @@ EXACT_CASES = (
         id=f"ladder-{L}") for L in range(2, 7)]
     + [pytest.param(lambda n=n, s=s: metropolis_gibbs_matrix(n, s), id=f"metropolis-{n}-{s}")
        for n, s in ((3, 0), (5, 1), (6, 2))]
+    + [pytest.param(lambda s=s, h=h, o=o: thermal_gibbs_matrix(s, h, **o), id=f"thermal-{name}")
+       for s, h, o, name in ((0, False, {}, "average"), (1, True, {}, "haar"),
+                             (2, True, {"bath_levels": 1, "unit": True}, "bistochastic"))]
 )

@@ -43,7 +43,7 @@ from nlsthermo.fluctuation import (
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.spinboson import spin1_gibbs_matrix
 from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_instances,
-                        random_instances, spin1_instances)
+                        random_instances, spin1_instances, thermal_instances)
 
 
 #: unit roundoff of a double
@@ -574,7 +574,7 @@ class TestExactJReference:
 
 class TestRelativeFixedPoint:
     @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
-                     ladder_instances()))
+                     ladder_instances(), thermal_instances()))
     @settings(max_examples=400, deadline=None)
     def test_certified_instances_keep_the_lines_the_ratio_bounds(self, instance):
         """On a certified instance's default grid (201 points over

@@ -37,7 +37,7 @@ from nlsthermo.response import (
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
 from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_instances,
-                        random_instances, spin1_instances)
+                        random_instances, spin1_instances, thermal_instances)
 
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -172,7 +172,7 @@ class TestGridFiniteDifference:
         assert_grid_slopes_match_the_scalar_reference(random_gibbs_instance(n, seed))
 
     @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
-                     ladder_instances()))
+                     ladder_instances(), thermal_instances()))
     @settings(max_examples=300, deadline=None)
     def test_drawn_instances_match_the_scalar_reference(self, instance):
         system, raw, beta0 = instance
@@ -198,7 +198,7 @@ class TestUnitCovariance:
     for bit: a power-of-two scale is exact in binary floating point."""
 
     @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
-                     ladder_instances()),
+                     ladder_instances(), thermal_instances()),
            st.integers(-20, 20))
     @settings(max_examples=300, deadline=None)
     def test_tangents_and_direct_scale_exactly(self, instance, k):

@@ -8,10 +8,11 @@ matrix with a Gibbs fixed point:
 * Gibbs states, left stochastic matrices, two-point measurement statistics,
   entropies and divergences (:mod:`nlsthermo.core`);
 * Jarzynski-type J-equations, bounded at every beta by the fixed-point and
-  column-sum certification lines, and the Clausius, heat-flow, entropy-flow, and
-  KL-contraction inequalities, with :func:`~nlsthermo.fluctuation.grid_pass`
-  the one evaluator of a Gibbs matrix's per-beta values and the scalar
-  per-beta functions kept as its reference (:mod:`nlsthermo.fluctuation`);
+  column-sum certification lines, and the Clausius, heat-flow,
+  entropy-flow, and KL-contraction inequalities, with
+  :func:`~nlsthermo.fluctuation.grid_pass` the one evaluator of a Gibbs
+  matrix's per-beta values and the scalar per-beta functions kept as its
+  reference (:mod:`nlsthermo.fluctuation`);
 * the tangent slope at the bath temperature computed four independent ways
   and compared in one report suite, the cumulant expansion, Newton-cooling
   linearization, and the weak-coupling Clausius equality

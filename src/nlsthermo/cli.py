@@ -4,9 +4,8 @@ generation, and the exactly solvable spin-oscillator example.
 Subcommands::
 
     sweep    emit beta, beta <dQ>, beta0 <dQ>, <dS> rows over a beta grid (CSV)
-    verify   certify the matrix (its fixed-point and column-sum lines bound
-             both J-equations at every beta), run the inequality, slope and
-             cumulant suites, emit JSON
+    verify   certify the matrix, whose lines bound both J-equations, run the
+             inequality, slope and cumulant suites, emit JSON
     gen      write a seeded random Gibbs-matrix instance as JSON
     example  write the closed-form spin-oscillator instance as JSON
 

@@ -106,8 +106,9 @@ def thermal_draw(seed, haar, bath_levels=None, unit=False):
     return system, thermal_entries(system, beta0, levels, rng, haar), beta0
 
 
-def thermal_instances(haar=st.booleans()):
-    return st.builds(thermal_draw, st.integers(0, 2**32 - 1), haar)
+def thermal_instances():
+    """Both variants of :func:`thermal_draw`, Haar and time average."""
+    return st.builds(thermal_draw, st.integers(0, 2**32 - 1), st.booleans())
 
 
 def lift(system, t):

@@ -14,11 +14,11 @@ slope ``a`` is computed here along four independent routes:
 never raises, their agreement, their nonnegativity and the common tangent.
 ``slope_numeric`` and ``entropy_slope_numeric``, central differences over
 beta0 +/- h from one :func:`~nlsthermo.fluctuation.grid_pass`, are the exact
-tangents' reference.  Those lines, the second-order cumulant truncation, the
-Newton-cooling linearization <dQ> = -a beta0 (tau - tau0) + O(tau - tau0)^2,
-and the weak-coupling Clausius equality <dS> = beta <dE> + O(eps^2) along the
-family T = (1 - eps) 1 + eps M of a transition matrix M are all measurable
-quantities that tests and verification reports pin down.
+tangents' reference.  :func:`cumulant_suite` judges the cumulant expansion
+of the heat against its exact cubic term, in the heat's own unit; Newton
+cooling, <dQ> = -a beta0 (tau - tau0) + O^2, and the weak-coupling Clausius
+equality <dS> = beta <dE> + O(eps^2) along T = (1 - eps) 1 + eps M are
+measurable quantities that tests pin down.
 """
 
 from __future__ import annotations
@@ -59,10 +59,8 @@ __all__ = [
 #: closed-form slope routes, the exact tangent among them, must agree to this
 #: relative tolerance
 CLOSED_FORM_RTOL = 1e-9
-#: cumulant-expansion residuals at or below this are rounding, not truncation
-CUMULANT_FLOOR = 1e-13
-#: least fitted log-log exponent of residuals above ``CUMULANT_FLOOR``
-CUMULANT_EXPONENT = 2.5
+#: the cumulant line's t in the heat's own unit: t = +/- tau / max |dQ|
+CUMULANT_TAU = 1e-3
 #: slopes may undershoot zero by at most this much
 NONNEG_TOL = 1e-10
 
@@ -97,11 +95,8 @@ def _heat_cumulants(G: GibbsMatrix):
 
 
 def slope_fluctuation(G: GibbsMatrix) -> float:
-    """Tangent slope as (beta0 / 2) Var(dQ) at the fixed point.
-
-    The mean heat vanishes at beta0 up to rounding, so this is essentially
-    (beta0 / 2) <dQ^2>.
-    """
+    """Tangent slope as (beta0 / 2) Var(dQ) at the fixed point, where the
+    mean heat vanishes up to rounding."""
     _, _, _, k2 = _heat_cumulants(G)
     return 0.5 * G.beta0 * k2
 
@@ -122,11 +117,8 @@ def slope_numeric(G: GibbsMatrix) -> float:
 
 
 def entropy_slope_numeric(G: GibbsMatrix) -> float:
-    """Central finite difference of <dS>(beta) at beta0.
-
-    Shares the tangent of beta <dQ> at beta0, so it must match
-    :func:`slope_numeric` to finite-difference accuracy.
-    """
+    """Central finite difference of <dS>(beta) at beta0, which shares the
+    tangent of beta <dQ>: it matches :func:`slope_numeric` to that accuracy."""
     return _fd_slopes(G)[1]
 
 
@@ -157,47 +149,54 @@ def slope_suite(G: GibbsMatrix) -> list[InequalityReport]:
 # cumulant expansion of the heat at the fixed point
 # ---------------------------------------------------------------------------
 
+def _remainders(G: GibbsMatrix, t=None):
+    """(|K - (k1 tau + k2 tau^2/2 + k3 tau^3/6)| at each tau = t X (default
+    +/- CUMULANT_TAU), (k1, k2, k3, mu4)) of F / M(0) for s = dQ / X, X = max
+    |dQ| on the support of F: K = log(M(tau)/M(0)), M(tau) = sum F e^{tau s}."""
+    joint, dq, _, _ = _heat_cumulants(G)
+    f, heat = joint[joint > 0.0], dq[joint > 0.0]
+    reach = float(np.max(np.abs(heat), initial=0.0))
+    s = heat / reach if reach > 0.0 else heat
+    tau = np.array([CUMULANT_TAU, -CUMULANT_TAU]) if t is None else t * reach
+    if not np.all(np.abs(tau) <= 0.1):  # also a NaN
+        raise InvalidInputError("cumulant check is meant for |t| max|dQ| <= 0.1")
+    total = float(np.sum(f))
+    k1 = float(np.sum(f * s)) / total
+    d = s - k1
+    f_d2 = f * d * d
+    k2, k3, mu4 = (float(np.sum(x)) / total for x in (f_d2, f_d2 * d, f_d2 * d * d))
+    cgf = np.reshape([math.log(np.sum(f * np.exp(x * s)) / total) for x in tau.flat], tau.shape)
+    return np.abs(cgf - tau * (k1 + tau * (k2 / 2.0 + tau * (k3 / 6.0)))), (k1, k2, k3, mu4)
+
+
 def cumulant_deviation(G: GibbsMatrix, t):
-    """|log <exp(t dQ)> - (k1 t + k2 t^2 / 2)| at beta = beta0.
-
-    The remainder is third order in t, and k1 vanishes at the fixed point up
-    to rounding.  An array of t gives its scalar values bit for bit, from
-    one heat table.
-
-    t is in units of inverse energy, so the check is not unit-free: scaled
-    energies can make a generating value <exp(t dQ)> overflow, and that
-    raises :class:`EvaluationError` naming its t (ROADMAP.md keeps the
-    unit-free form open).
-    """
-    t = _float_array(t, "t")
-    if not np.all(np.abs(t) <= 0.1):  # also a NaN, which would read as an overflow below
-        raise InvalidInputError("cumulant check is meant for |t| <= 0.1")
-    joint, dq, k1, k2 = _heat_cumulants(G)
-    with np.errstate(over="ignore"):  # an overflowed value is named below
-        moments = [_expectation_sum(joint, np.exp(s * dq)) for s in t.flat]
-    for s, moment in zip(t.flat, moments):
-        if not math.isfinite(moment):
-            raise EvaluationError(
-                f"the generating value <exp(t dQ)> overflows at t={float(s)!r}")
-    generating = np.reshape([math.log(moment) for moment in moments], t.shape)
-    deviation = np.abs(generating - (k1 * t + 0.5 * k2 * t * t))
-    return float(deviation) if t.ndim == 0 else deviation
+    """|log(M(t)/M(0)) - (k1 t + k2 t^2/2 + k3 t^3/6)|, M(t) = <exp(t dQ)>
+    under the fixed-point joint, for |t| max|dQ| <= 0.1 (so exp(t dQ) cannot
+    overflow).  An array of t gives its scalar values bit for bit."""
+    deviation = _remainders(G, _float_array(t, "t"))[0]
+    return float(deviation) if deviation.ndim == 0 else deviation
 
 
 def cumulant_suite(G: GibbsMatrix) -> list[InequalityReport]:
-    """Truncation order of the second-order cumulant expansion: residuals at
-    most ``CUMULANT_FLOOR``, or a fitted exponent >= ``CUMULANT_EXPONENT``."""
-    # two-sided max per |t|: the odd and even parts of the remainder add in
-    # magnitude on one of the two sides, so no cancellation can distort the fit
-    t_grid = (0.1, 0.05, 0.025)
-    deviations = cumulant_deviation(G, [s * t for t in t_grid for s in (1.0, -1.0)]).tolist()
-    residuals = [max(plus, minus) for plus, minus in zip(deviations[::2], deviations[1::2])]
-    if max(residuals) <= CUMULANT_FLOOR:
-        return [compare("cumulant truncation: residuals at rounding floor",
-                        max(residuals), CUMULANT_FLOOR)]
-    exponent = float(np.polyfit(np.log(t_grid), np.log(residuals), 1)[0])
-    return [compare(f"cumulant truncation: fitted residual exponent >= {CUMULANT_EXPONENT:g}",
-                    CUMULANT_EXPONENT, exponent)]
+    """The remainder R(t) of the cubic cumulant expansion of K(t) =
+    log(M(t) / M(0)), M(t) = sum F e^{t dQ}, at t = +/- tau / max|dQ|, tau =
+    CUMULANT_TAU, is at most (16 e^{2 tau} mu4 + 2 e^{4 tau} mu2^2) t^4/24 +
+    16 u log2 N (mu2 = k2, mu4 central moments of F / M(0); u = 2^-53).
+
+    By Taylor, R(t) = k4(xi) t^4/24 for some |xi| <= |t|, k4(xi) = mu4(xi) -
+    3 mu2(xi)^2 of the tilted weights F e^{xi dQ} / M(xi), which lie within
+    e^{2 tau} of F / M(0) as |xi dQ| <= tau.  (a + b)^4 <= 8 (a^4 + b^4) and
+    Jensen give mu4(xi) <= 16 e^{2 tau} mu4; mu2(xi) <= e^{2 tau} mu2, the
+    mean minimizing the second moment; mu2(xi)^2 <= mu4(xi) gives |k4(xi)| <=
+    mu4(xi) + 2 mu2(xi)^2.  16 u log2 N covers the rounding of K's two sums
+    (2.4 u measured), so no SLACK_TOL, above the whole bound, is added.  Each
+    term is a pure number: no energy unit can move the line."""
+    remainders, (_, k2, _, mu4) = _remainders(G)
+    tau, lhs = CUMULANT_TAU, float(np.max(remainders))
+    rhs = ((16.0 * math.exp(2.0 * tau) * mu4 + 2.0 * math.exp(4.0 * tau) * k2 * k2)
+           * tau ** 4 / 24.0 + 16.0 * 2.0 ** -53 * math.log2(G.system.size))
+    return [InequalityReport(f"cumulant truncation: |R(t)| <= sup|k4| t^4/24 + 16 u log2 N"
+                             f" at t = +/-{tau:g}/max|dQ|", lhs, rhs, rhs - lhs, lhs <= rhs)]
 
 
 def newton_cooling_coefficient(G: GibbsMatrix) -> float:

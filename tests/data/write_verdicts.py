@@ -1,11 +1,15 @@
-"""Rewrite ``verdicts.json``, the verdict table of 42 ``verify`` commands.
+"""Rewrite ``verdicts.json``, the verdict table of 43 ``verify`` commands.
 
 The commands are ``verify --random N --seed s --steps 2001`` for
 N in {3, 5, 8, 16, 32, 48, 96} and s in 0-3, ``verify --example spin1
---beta0 b`` at ten b from 1e-6 to 50, and four wide grids.  Each runs in
-this process under ``error::RuntimeWarning``; the table keeps its argv, its
-exit code, the sha256 of its report and every line's label, ``holds``, lhs
-and rhs.  ``tests/test_verdicts.py`` checks the table.
+--beta0 b`` at ten b from 1e-6 to 50, four wide grids, and ``verify --input``
+of ``random-32-1-x2p20.json``: the N = 32, seed 1 instance with energies
+x 2^20 and beta0 / 2^20, where a cumulant line in inverse energy units once
+wrote NaN.  Each runs in this process, from the repository root so that the
+input path reads the same on every checkout, under ``error::RuntimeWarning``;
+the table keeps its argv, its exit code, the sha256 of its report and every
+line's label, ``holds``, lhs and rhs.  ``tests/test_verdicts.py`` checks the
+table.
 
 Run from the repository root::
 
@@ -19,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -26,12 +31,14 @@ from pathlib import Path
 from nlsthermo.cli import main
 
 TABLE = Path(__file__).resolve().with_name("verdicts.json")
+ROOT = TABLE.parents[2]
 
 SPIN1_BETA0 = ("1e-6", "1e-3", "0.01", "0.1", "0.5", "1", "2", "5", "10", "50")
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of the 42 commands, in table order."""
+    """(name, argv) of the 43 commands, in table order; an input path is
+    relative to the repository root."""
     cases = [(f"r{n}/s{s}", ["--random", str(n), "--seed", str(s), "--steps", "2001"])
              for n in (3, 5, 8, 16, 32, 48, 96) for s in range(4)]
     cases += [(f"spin1@{b}", ["--example", "spin1", "--beta0", b]) for b in SPIN1_BETA0]
@@ -44,18 +51,25 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--beta-min=-1e4", "--beta-max=1e4"]),
         ("spin1@5 ±1e300", ["--example", "spin1", "--beta0", "5", *wide,
                             "--beta-min=-1e300", "--beta-max=1e300"]),
+        ("r32/s1 E×2^20", ["--input", TABLE.with_name("random-32-1-x2p20.json")
+                           .relative_to(ROOT).as_posix(), *wide]),
     ]
     return [(name, ["verify", *argv]) for name, argv in cases]
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
-    """Exit code and report bytes of one command, run in this process; its
-    stderr (the timing line) is dropped."""
+    """Exit code and report bytes of one command, run in this process from
+    the repository root; its stderr (the timing line) is dropped."""
+    cwd = os.getcwd()
     with (tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(),
           contextlib.redirect_stderr(io.StringIO())):
         warnings.simplefilter("error", RuntimeWarning)
         out = Path(tmp) / "report.json"
-        code = main([*argv, "--out", str(out)])
+        os.chdir(ROOT)
+        try:
+            code = main([*argv, "--out", str(out)])
+        finally:
+            os.chdir(cwd)
         return code, out.read_bytes()
 
 

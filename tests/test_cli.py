@@ -23,6 +23,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def reject_constant(token):
+    """``parse_constant`` of json: a report carries no NaN or Infinity."""
+    raise ValueError(f"{token} in a report")
+
+
 def run_process(*argv):
     return subprocess.run([sys.executable, "-m", "nlsthermo.cli", *argv],
                           capture_output=True, text=True)
@@ -311,21 +316,27 @@ class TestUnitRescaling:
         assert run_cli("verify", "--input", str(path), "--suite", "slopes") == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-20, 20])
     @pytest.mark.parametrize("n, seed", [(8, 0), (32, 1)])
-    def test_an_overflowing_cumulant_names_its_t_and_writes_no_report(self, n, seed,
-                                                                      tmp_path, capsys):
-        """At E x 2^20 the fixed t grid overflows <exp(t dQ)>: verify exits 1
-        naming that t, where it used to write NaN into the cumulant line."""
-        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+    def test_the_rescaled_instance_verifies_with_the_same_cumulant_line(self, n, seed, k,
+                                                                        tmp_path):
+        """t = tau / max|dQ| is in the heat's own unit: at E x 2^20, where a
+        fixed t = 0.1 overflowed <exp(t dQ)>, verify writes a report with no
+        NaN, every line holds, and the cumulant line is the unscaled one."""
+        path = tmp_path / "inst.json"
         assert run_cli("gen", str(n), "--seed", str(seed), "--out", str(path)) == 0
-        obj = json.loads(path.read_text())
-        obj["energies"] = [math.ldexp(e, 20) for e in obj["energies"]]
-        obj["beta0"] = math.ldexp(obj["beta0"], -20)
-        path.write_text(json.dumps(obj))
-        assert run_cli("verify", "--input", str(path), "--out", str(out)) == 1
-        assert capsys.readouterr().err == (
-            "error: the generating value <exp(t dQ)> overflows at t=0.1\n")
-        assert not out.exists()
+        lines = []
+        for scale in (0, k):
+            obj = json.loads(path.read_text())
+            obj["energies"] = [math.ldexp(e, scale) for e in obj["energies"]]
+            obj["beta0"] = math.ldexp(obj["beta0"], -scale)
+            scaled, out = tmp_path / f"inst{scale}.json", tmp_path / f"report{scale}.json"
+            scaled.write_text(json.dumps(obj))
+            assert run_cli("verify", "--input", str(scaled), "--out", str(out)) == 0
+            lines.append([line for line in json.loads(out.read_text(),
+                                                      parse_constant=reject_constant)["checks"]
+                          if line["label"].startswith("cumulant truncation")])
+        assert lines[0] == lines[1] and len(lines[0]) == 1
 
 
 class TestVerify:

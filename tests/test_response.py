@@ -6,17 +6,15 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlsthermo import response
 from nlsthermo.core import (
-    EvaluationError,
     GibbsMatrix,
     InvalidInputError,
     LevelSystem,
     TransitionMatrix,
-    _expectation_sum,
     certify_gibbs_matrix,
     make_gibbs_state,
 )
@@ -36,8 +34,9 @@ from nlsthermo.response import (
     weak_coupling_residual,
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
-from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_instances,
-                        random_instances, spin1_instances, thermal_instances)
+from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_entries,
+                        metropolis_instances, random_instances, spin1_instances,
+                        thermal_instances)
 
 EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -192,27 +191,64 @@ class TestGridFiniteDifference:
         assert calls == [[2.0 + 2e-4, 2.0 - 2e-4]]
 
 
+def normal_products(G):
+    """Whether every nonzero entry of T, of the Gibbs weights p0 at beta0 and
+    of the products the slope routines form from them with up to two
+    energies is a normal double."""
+    tiny = np.finfo(float).tiny
+    energies, p0 = G.system.energies, G.fixed_point.weights
+    flow = G.matrix.entries * p0
+    gap = energies[:, None] - energies[None, :]
+    return not any(np.any((x != 0.0) & (np.abs(x) < tiny)) for x in (
+        G.matrix.entries, p0, p0 * energies * energies, flow, flow * energies,
+        flow * energies * gap))
+
+
+def metropolis_draw(energies, degeneracies, beta0):
+    system = LevelSystem(energies, degeneracies)
+    return system, metropolis_entries(system, beta0), beta0
+
+
+#: a two-level Metropolis chain with T[0, 1] = 1.9e-309 and a subnormal
+#: Gibbs weight; at k = -3 its slope_direct moves by 3 ulp
+SUBNORMAL_DRAW = metropolis_draw([float.fromhex("0x1.2eab0e3728d3ep+6"),
+                                  float.fromhex("0x1.84ac57ccf411ep+4")], [1, 4],
+                                 float.fromhex("0x1.b97913997d64ep+3"))
+
+#: relative bound on that draw, where a subnormal keeps fewer bits and a
+#: power-of-two scale rounds it anew (measured at k = -3: 3.4e-16)
+SUBNORMAL_RTOL = 1e-12
+
+
 class TestUnitCovariance:
     """Under E -> 2^k E, beta0 -> 2^-k beta0 the Gibbs state, the matrix and
-    rho are unchanged, and each slope route is 2^k times its old value, bit
-    for bit: a power-of-two scale is exact in binary floating point."""
+    rho are unchanged, each slope route is 2^k times its old value and the
+    cumulant line keeps its lhs and rhs, bit for bit: a power-of-two scale
+    is exact in binary floating point, as long as no product leaves the
+    normal range (:func:`normal_products`)."""
 
-    @given(st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
-                     ladder_instances(), thermal_instances()),
-           st.integers(-20, 20))
+    @given(instance=st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
+                              ladder_instances(), thermal_instances()),
+           k=st.integers(-20, 20), rtol=st.just(0.0))
+    @example(instance=SUBNORMAL_DRAW, k=-3, rtol=SUBNORMAL_RTOL)
     @settings(max_examples=300, deadline=None)
-    def test_tangents_and_direct_scale_exactly(self, instance, k):
+    def test_tangents_and_direct_scale_exactly(self, instance, k, rtol):
         system, raw, beta0 = instance
         _, G = certify_gibbs_matrix(raw, system, beta0)
         assume(G is not None)
         scaled = GibbsMatrix(G.matrix, LevelSystem(np.ldexp(system.energies, k),
                                                    system.degeneracies),
                              math.ldexp(G.beta0, -k))
+        if rtol == 0.0:
+            assume(normal_products(G) and normal_products(scaled))
         assert np.array_equal(scaled.rho, G.rho)
-        for scaled_slopes, slopes in zip(_beta_slopes(scaled, [scaled.beta0]),
-                                         _beta_slopes(G, [G.beta0])):
-            assert np.array_equal(scaled_slopes, np.ldexp(slopes, k))
-        assert slope_direct(scaled) == math.ldexp(slope_direct(G), k)
+        pairs = [(scaled_slopes, np.ldexp(slopes, k)) for scaled_slopes, slopes
+                 in zip(_beta_slopes(scaled, [scaled.beta0]), _beta_slopes(G, [G.beta0]))]
+        pairs.append((slope_direct(scaled), math.ldexp(slope_direct(G), k)))
+        (line,), (scaled_line,) = cumulant_suite(G), cumulant_suite(scaled)
+        pairs += [(scaled_line.lhs, line.lhs), (scaled_line.rhs, line.rhs)]
+        for found, expected in pairs:
+            assert np.all(np.abs(found - expected) <= rtol * np.abs(expected)), (found, expected)
 
 
 class TestVastUnusedGap:
@@ -244,18 +280,28 @@ class TestFixedPointZeros:
         assert abs(slope_numeric(G) - entropy_slope_numeric(G)) <= 1e-4
 
 
+def heat_support(G):
+    """(F, dQ, max |dQ|) on the support of the fixed-point joint F."""
+    joint, dq, _, _ = response._heat_cumulants(G)
+    f, heat = joint[joint > 0.0], dq[joint > 0.0]
+    return f, heat, float(np.abs(heat).max())
+
+
 class TestCumulantTruncation:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_an_overflowing_generating_value_names_its_t(self):
-        # a heat of 1e3 overflows exp(t dQ) at t = 0.1 but not at t = 0.05
+    def test_a_vast_heat_is_held_by_the_guard(self):
+        # t = 0.1 on a heat of 1e4 would overflow exp(t dQ); the guard
+        # |t| max|dQ| <= 0.1 rejects it, and the line's t = tau / max|dQ| holds
         system = LevelSystem([0.0, 1e4], [1, 1])
         p0 = make_gibbs_state(system, 1e-3).weights
         up = 0.5 * p0[1] / p0[0]  # detailed balance with the downward 0.5
         T = TransitionMatrix(np.array([[1.0 - up, 0.5], [up, 0.5]]))
         G = GibbsMatrix(T, system, 1e-3)
-        assert math.isfinite(cumulant_deviation(G, 0.05))
-        with pytest.raises(EvaluationError, match=re.escape("overflows at t=0.1")):
-            cumulant_deviation(G, [0.05, 0.1])
+        assert math.isfinite(cumulant_deviation(G, 1e-5))
+        with pytest.raises(InvalidInputError, match=re.escape("|t| max|dQ| <= 0.1")):
+            cumulant_deviation(G, [1e-5, 0.1])
+        (report,) = cumulant_suite(G)
+        assert report.holds
 
     def test_zero_t_has_zero_deviation(self):
         G = spin1_gibbs_matrix(1.0)
@@ -285,8 +331,8 @@ class TestCumulantTruncation:
             cumulant_deviation(spin1_gibbs_matrix(1.0), 0.2)
 
     def test_nan_t_is_rejected(self):
-        with pytest.raises(InvalidInputError, match=re.escape("|t| <= 0.1")):
-            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.05, math.nan])
+        with pytest.raises(InvalidInputError, match=re.escape("|t| max|dQ| <= 0.1")):
+            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.01, math.nan])
 
     @pytest.mark.parametrize("build", [
         lambda: spin1_gibbs_matrix(1.0),
@@ -294,7 +340,8 @@ class TestCumulantTruncation:
     ])
     def test_residual_exponent_is_at_least_cubic(self, build):
         G = build()
-        ts = [0.1, 0.05, 0.025, -0.1, -0.05, -0.025]
+        reach = heat_support(G)[2]
+        ts = [tau / reach for tau in (0.1, 0.05, 0.025, -0.1, -0.05, -0.025)]
         residuals = [cumulant_deviation(G, t) for t in ts]
         exponent = np.polyfit(np.log(np.abs(ts)), np.log(residuals), 1)[0]
         assert exponent >= 2.5
@@ -304,7 +351,8 @@ class TestBatchedCumulantDeviation:
     """An array of t gives the scalar values bit for bit, and the suite builds
     the fixed-point heat table once."""
 
-    TS = (0.1, -0.1, 0.05, -0.05, 0.025, -0.025, 0.0, 0.0731, -0.0137)
+    #: t in units of 1 / max|dQ|, inside the guard's 0.1
+    TS = (0.08, -0.08, 0.05, -0.05, 0.025, -0.025, 0.0, 0.0731, -0.0137)
 
     @pytest.mark.parametrize("build", [lambda: random_gibbs_instance(3, 0),
                                        lambda: random_gibbs_instance(8, 0),
@@ -313,18 +361,23 @@ class TestBatchedCumulantDeviation:
                                        lambda: spin1_gibbs_matrix(1.0)])
     def test_batch_equals_the_scalar_calls_bit_for_bit(self, build):
         G = build()
-        batch = cumulant_deviation(G, np.array(self.TS))
-        scalars = [cumulant_deviation(G, t) for t in self.TS]
+        f, heat, reach = heat_support(G)
+        ts = np.array(self.TS) / reach
+        batch = cumulant_deviation(G, ts)
+        scalars = [cumulant_deviation(G, t) for t in ts]
         assert batch.shape == (len(self.TS),)
         assert batch.tolist() == scalars
-        # the scalar value is the plain formula: one masked sum, one math.log
-        joint, dq, k1, k2 = response._heat_cumulants(G)
-        assert scalars == [abs(math.log(_expectation_sum(joint, np.exp(t * dq)))
-                               - (k1 * t + 0.5 * k2 * t * t)) for t in self.TS]
+        # the scalar value is the plain formula at tau = t max|dQ|: one sum,
+        # one math.log and the cubic in Horner form
+        s, total = heat / reach, float(np.sum(f))
+        k1, k2, k3, _ = response._remainders(G)[1]
+        assert scalars == [abs(math.log(np.sum(f * np.exp(tau * s)) / total)
+                               - tau * (k1 + tau * (k2 / 2.0 + tau * (k3 / 6.0))))
+                           for tau in (t * reach for t in ts)]
 
     def test_any_large_t_in_a_batch_is_rejected(self):
         with pytest.raises(InvalidInputError):
-            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.05, -0.2])
+            cumulant_deviation(spin1_gibbs_matrix(1.0), [0.01, -0.2])
 
     def test_suite_builds_the_heat_table_once(self, monkeypatch):
         calls = []
@@ -453,6 +506,64 @@ class TestExactSlopeReference:
                     / max(1.0, abs(slope_direct(G)))
                     for G in (case.values[0]() for case in EXACT_CASES))
         assert worst <= 1e-12
+
+
+def exact_cumulants(G):
+    """The cumulant line's quantities at 50 digits, with the double entries,
+    energies and beta0 taken as exact and p0 the exact Gibbs state, each with
+    the sum of the magnitudes of its terms: {name: (value, magnitude)} for
+    k1, k2 = mu2, k3, mu4 of the heat s = dQ / max|dQ| and the remainder at
+    each of t = +/- tau / max|dQ|, whose terms are the two normalized sums
+    M(t) / M(0) and 1 and the three terms of the cubic."""
+    with mpmath.workdps(50):
+        t = [[mpmath.mpf(float(x)) for x in row] for row in G.matrix.entries]
+        e = [mpmath.mpf(float(x)) for x in G.system.energies]
+        p0 = exact_gibbs(G.system, mpmath.mpf(G.beta0))
+        support = [(m, n) for m in range(len(e)) for n in range(len(e)) if t[m][n] > 0]
+        f = [t[m][n] * p0[n] for m, n in support]
+        heat = [e[m] - e[n] for m, n in support]
+        reach = max(map(abs, heat))
+        s = [x / reach for x in heat] if reach else heat
+        total = mpmath.fsum(f)
+        k1 = mpmath.fsum(w * x for w, x in zip(f, s)) / total
+        d = [x - k1 for x in s]
+
+        def moment(j, magnitude=False):
+            return mpmath.fsum(w * (abs(y) if magnitude else y) ** j for w, y in zip(f, d)) / total
+
+        values = {"k1": (k1, mpmath.fsum(w * abs(x) for w, x in zip(f, s)) / total),
+                  "k2": (moment(2), moment(2)), "k3": (moment(3), moment(3, magnitude=True)),
+                  "mu4": (moment(4), moment(4))}
+        for tau in (response.CUMULANT_TAU, -response.CUMULANT_TAU):
+            tau = mpmath.mpf(tau)
+            ratio = mpmath.fsum(w * mpmath.exp(tau * x) for w, x in zip(f, s)) / total
+            cubic = [k1 * tau, values["k2"][0] * tau ** 2 / 2, values["k3"][0] * tau ** 3 / 6]
+            values[f"remainder {float(tau):+g}"] = (
+                abs(mpmath.log(ratio) - mpmath.fsum(cubic)),
+                ratio + 1 + mpmath.fsum(map(abs, cubic)))
+        return {name: (float(value), float(size)) for name, (value, size) in values.items()}
+
+
+#: c in the c u sum|terms| budget of the cumulant line's quantities; the 28
+#: exact cases reach 4.3 (mu4), and 1.21 on a remainder
+CUMULANT_ROUNDING = 8
+
+
+class TestExactCumulantReference:
+    """The cumulant line's moments and remainders against their 50-digit
+    values, each within 8 u of the magnitudes it sums.  A remainder sums
+    about 2, so its error (at most 2.4 u measured) is far inside the line's
+    rounding term 16 u log2 N."""
+
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_moments_and_remainders_lie_within_rounding(self, build):
+        G = build()
+        tau = response.CUMULANT_TAU
+        remainders, moments = response._remainders(G)
+        computed = dict(zip(("k1", "k2", "k3", "mu4"), moments))
+        computed.update(zip((f"remainder {tau:+g}", f"remainder {-tau:+g}"), remainders))
+        for name, (exact, magnitude) in exact_cumulants(G).items():
+            assert abs(computed[name] - exact) <= CUMULANT_ROUNDING * UNIT_ROUNDOFF * magnitude, name
 
 
 class TestWeakCoupling:

@@ -396,6 +396,24 @@ def kl_divergence(q, p) -> float:
     return float(np.sum(qm * np.log(qm / pw[mask])))
 
 
+#: phi(x) / x^2 = sum_{k >= 2} (-x)^(k-2) / (k (k - 1)) to k = 16, for np.polyval
+_PHI_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(16, 1, -1)])
+
+
+def _termwise_kl(p: np.ndarray, log_p: np.ndarray, step: np.ndarray) -> float:
+    """sum_m p_m phi(step_m / p_m), phi(x) = (1 + x) log1p(x) - x >= 0, which is
+    S(p + step || p) - sum step: phi's series where |x| <= 0.1 (the first term
+    left out is below u / 10), else q (log q - log p) - step with q = p + step
+    and the caller's ``log_p``, finite where p underflows to 0."""
+    far = np.abs(step) > 0.1 * p
+    near = ~far & (p > 0.0)  # a zero weight under a zero step adds 0
+    x = step[near] / p[near]
+    q = p[far] + step[far]
+    log_q = np.log(q, out=np.zeros(q.shape), where=q > 0.0)  # 0 log 0 = 0
+    return float(np.sum(step[near] * x * np.polyval(_PHI_SERIES, x))
+                 + np.sum(q * (log_q - log_p[far]) - step[far]))
+
+
 # ---------------------------------------------------------------------------
 # heat and entropy-increase random variables
 # ---------------------------------------------------------------------------

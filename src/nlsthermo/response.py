@@ -15,21 +15,21 @@ never raises, their agreement, their nonnegativity and the common tangent.
 ``slope_numeric`` and ``entropy_slope_numeric``, central differences over
 beta0 +/- h from one :func:`~nlsthermo.fluctuation.grid_pass`, are the exact
 tangents' reference.  :func:`cumulant_suite` judges the cumulant expansion
-of the heat against its exact cubic term, in the heat's own unit; Newton
-cooling, <dQ> = -a beta0 (tau - tau0) + O^2, and the weak-coupling Clausius
-equality <dS> = beta <dE> + O(eps^2) along T = (1 - eps) 1 + eps M are
-measurable quantities that tests pin down.
+of the heat against its exact cubic term, in the heat's own unit.  Newton
+cooling, <dQ> = -a beta0 (tau - tau0) + O^2, is a measurable quantity that
+tests pin down, and so is the weak-coupling Clausius equality along T =
+(1 - eps) 1 + eps M: :func:`clausius_equality_residual` returns beta <dE> -
+<dS> = KL(T p || p) as a termwise sum of nonnegative terms, whose leading
+term (1/2) eps^2 chi^2(M p - p || p) tests check with its exact coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    EvaluationError,
     GibbsMatrix,
     InequalityReport,
     InvalidInputError,
@@ -37,12 +37,13 @@ from .core import (
     TransitionMatrix,
     _expectation_sum,
     _float_array,
+    _termwise_kl,
     delta_q_table,
+    gibbs_log_weights,
 )
-from .fluctuation import _beta_slopes, _marginal_changes, compare, grid_pass
+from .fluctuation import _beta_slopes, compare, grid_pass
 
 __all__ = [
-    "WeakCouplingFit",
     "slope_direct",
     "slope_symmetrized",
     "slope_fluctuation",
@@ -53,7 +54,6 @@ __all__ = [
     "cumulant_suite",
     "newton_cooling_coefficient",
     "clausius_equality_residual",
-    "weak_coupling_residual",
 ]
 
 #: closed-form slope routes, the exact tangent among them, must agree to this
@@ -83,22 +83,19 @@ def slope_symmetrized(G: GibbsMatrix) -> float:
     return G.beta0 * float(0.25 * np.sum(flow * gap ** 2))
 
 
-def _heat_cumulants(G: GibbsMatrix):
-    """(joint, dQ table, k1, k2): the fixed-point two-point distribution, the
-    heat on its support (0 elsewhere, so unused gaps cannot overflow), and the
-    first two cumulants of the heat under it."""
+def _heat_table(G: GibbsMatrix):
+    """(joint, dQ table): the fixed-point two-point distribution and the heat
+    on its support (0 elsewhere, so unused gaps cannot overflow)."""
     joint = G.matrix.entries * G.fixed_point.weights[None, :]
-    dq = np.where(joint > 0.0, delta_q_table(G.system), 0.0)
-    k1 = _expectation_sum(joint, dq)
-    k2 = _expectation_sum(joint, dq * dq) - k1 * k1
-    return joint, dq, k1, k2
+    return joint, np.where(joint > 0.0, delta_q_table(G.system), 0.0)
 
 
 def slope_fluctuation(G: GibbsMatrix) -> float:
     """Tangent slope as (beta0 / 2) Var(dQ) at the fixed point, where the
     mean heat vanishes up to rounding."""
-    _, _, _, k2 = _heat_cumulants(G)
-    return 0.5 * G.beta0 * k2
+    joint, dq = _heat_table(G)
+    k1 = _expectation_sum(joint, dq)
+    return 0.5 * G.beta0 * (_expectation_sum(joint, dq * dq) - k1 * k1)
 
 
 def _fd_slopes(G: GibbsMatrix) -> tuple[float, float]:
@@ -153,7 +150,7 @@ def _remainders(G: GibbsMatrix, t=None):
     """(|K - (k1 tau + k2 tau^2/2 + k3 tau^3/6)| at each tau = t X (default
     +/- CUMULANT_TAU), (k1, k2, k3, mu4)) of F / M(0) for s = dQ / X, X = max
     |dQ| on the support of F: K = log(M(tau)/M(0)), M(tau) = sum F e^{tau s}."""
-    joint, dq, _, _ = _heat_cumulants(G)
+    joint, dq = _heat_table(G)
     f, heat = joint[joint > 0.0], dq[joint > 0.0]
     reach = float(np.max(np.abs(heat), initial=0.0))
     s = heat / reach if reach > 0.0 else heat
@@ -213,48 +210,24 @@ def newton_cooling_coefficient(G: GibbsMatrix) -> float:
 
 def clausius_equality_residual(M: TransitionMatrix, system: LevelSystem,
                                beta: float, eps: float) -> float:
-    """|<dS> - beta <dE>| for T = (1 - eps) 1 + eps M and a Gibbs initial state.
+    """beta <dE> - <dS> = KL(T p || p) for T = (1 - eps) 1 + eps M, eps in
+    [0, 1] (else an input error naming it), and the Gibbs state p at beta.
 
-    T is a transition matrix for every eps in [0, 1]; an eps outside is an
-    input error naming it.  The residual vanishes at eps = 0 and shrinks as
-    eps^2: to first order in the coupling the Clausius bound is an equality.
-    """
+    It is sum_m p_m phi(eps delta_m / p_m) >= 0, delta = M p - p, phi(x) =
+    (1 + x) log1p(x) - x: (1/2) eps^2 chi^2(delta || p) (1 + theta), |theta|
+    <= r / (3 (1 - r)), r = eps / eps* < 1, eps* = min p / |delta|, so the
+    Clausius bound is an equality to first order.  Summed term by term by
+    :func:`~nlsthermo.core._termwise_kl`: phi's series where |eps delta / p|
+    <= 0.1, else q (log q - log p) - eps delta with log p from
+    :func:`~nlsthermo.core.gibbs_log_weights`, finite where p underflows.
+    This Bregman sum leaves out the O(eps * column-sum defect) term (1 - log
+    Z) eps sum_n (column sum_n - 1) p_n that the scalar route S(q) - S(p) -
+    beta (E.q - E.p) keeps."""
     eps, beta = float(eps), float(beta)
     if not 0.0 <= eps <= 1.0:
         raise InvalidInputError(f"eps must lie in [0, 1]; got eps={eps!r}")
-    T = TransitionMatrix((1.0 - eps) * np.eye(M.size) + eps * M.entries)
-    de, ds = _marginal_changes(T, system, beta)
-    return abs(ds - beta * de)
-
-
-@dataclass(frozen=True)
-class WeakCouplingFit:
-    """Residual table and fitted scaling exponent of the weak-coupling
-    Clausius equality.  ``exponent`` is ``inf`` when every residual is zero
-    (for example for M = 1)."""
-
-    eps: tuple[float, ...]
-    residuals: tuple[float, ...]
-    exponent: float
-
-
-def weak_coupling_residual(M: TransitionMatrix, system: LevelSystem,
-                           beta: float, eps_list) -> WeakCouplingFit:
-    """Fit log |<dS> - beta <dE>| against log eps over the couplings of the
-    family (1 - eps) 1 + eps M.
-
-    The exponent must come out close to 2.  An eps above 1 is rejected with
-    an error naming it.
-    """
-    eps = tuple(float(e) for e in eps_list)
-    if len(eps) < 2:
-        raise InvalidInputError("need at least two eps values for the fit")
-    if any(e <= 0.0 for e in eps):
-        raise InvalidInputError("eps values must be positive for the log-log fit")
-    residuals = tuple(clausius_equality_residual(M, system, beta, e) for e in eps)
-    if all(r == 0.0 for r in residuals):
-        return WeakCouplingFit(eps=eps, residuals=residuals, exponent=float("inf"))
-    if any(r == 0.0 for r in residuals):
-        raise EvaluationError("mixed zero and nonzero residuals; cannot fit an exponent")
-    slope = float(np.polyfit(np.log(eps), np.log(residuals), 1)[0])
-    return WeakCouplingFit(eps=eps, residuals=residuals, exponent=slope)
+    if M.size != system.size:
+        raise InvalidInputError("matrix and level system sizes differ")
+    log_p, _ = gibbs_log_weights(system, beta)
+    p = np.exp(log_p)
+    return _termwise_kl(p, log_p, eps * (M.entries @ p - p))

@@ -106,22 +106,41 @@ def test_criterion_04_slope_cross_validation():
                 f"tangent gap {worst_tangent:.1e}, common-tangent gap {worst_common:.1e}")
 
 
-def test_criterion_05_weak_coupling_exponent():
+def test_criterion_05_weak_coupling_leading_term():
+    """beta <dE> - <dS> along (1 - eps) 1 + eps M is (1/2) eps^2 chi^2 (1 + theta)
+    with |theta| <= r / (3 (1 - r)), r = eps / eps*, eps* = min p / |delta|,
+    chi^2 = sum delta^2 / p, delta = M p - p, at eps = eps* {1e-1, 1e-2, 1e-3}
+    capped at 1: 50 random draws and spin1 at beta0 = 5, 10, beta = -2 beta0,
+    3 beta0, where eps* is near 1e-8."""
     rng = np.random.default_rng(60_000)
-    eps_grid = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-    exponents = []
+    cases = []
     for k in range(50):
         n = 2 + k % 7
         M = nt.random_stochastic(n, 61_000 + k)
         system = nt.LevelSystem(rng.uniform(-1.0, 1.0, n),
                                 np.ones(n, dtype=np.int64))
-        beta = float(rng.uniform(0.2, 1.0))
-        fit = nt.weak_coupling_residual(M, system, beta, eps_grid)
-        exponents.append(fit.exponent)
-    assert min(exponents) >= 1.9
-    assert max(exponents) <= 2.1
-    announce(5, f"50 weak-coupling fits, exponents in "
-                f"[{min(exponents):.3f}, {max(exponents):.3f}]")
+        cases.append((M, system, float(rng.uniform(0.2, 1.0))))
+    for beta0 in (5.0, 10.0):
+        G = nt.spin1_gibbs_matrix(beta0)
+        cases += [(G.matrix, G.system, beta) for beta in (-2.0 * beta0, 3.0 * beta0)]
+    worst = 0.0
+    for M, system, beta in cases:
+        log_p, _ = nt.gibbs_log_weights(system, beta)
+        p = np.exp(log_p)
+        delta = M.entries @ p - p
+        moved = delta != 0.0
+        eps_star = float(np.min(p[moved] / np.abs(delta[moved])))
+        for scale in (1e-1, 1e-2, 1e-3):
+            eps = min(1.0, scale * eps_star)
+            r = eps / eps_star
+            step = eps * delta[moved]
+            leading = 0.5 * float(np.sum(step * (step / p[moved])))
+            gap = abs(nt.clausius_equality_residual(M, system, beta, eps) / leading - 1.0)
+            bound = r / (3.0 * (1.0 - r)) + 4.0 * 2.0 ** -53  # 4 u of rounding
+            assert gap <= bound, (beta, eps)
+            worst = max(worst, gap / bound)
+    announce(5, f"{len(cases)} weak-coupling residuals, 3 eps each, within "
+                f"r/(3(1-r)) of eps^2 chi^2/2: worst at {worst:.3f} of the bound")
 
 
 def test_criterion_06_spin_boson_example():

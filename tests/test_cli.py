@@ -621,13 +621,13 @@ class TestFixedPointTable:
         gen6 = str(tmp_path / "gen6.json")
         assert run_cli("gen", "6", "--out", gen6) == 0
         calls = []
-        for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_cumulants")):
+        for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_table")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
                                 calls.append(_name) or _original(*args))
         assert run_cli(*(arg.format(gen6=gen6) for arg in argv)) == 0
         heat_tables = 2 if argv[0] == "verify" else 0
-        assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_cumulants"] * heat_tables
+        assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_table"] * heat_tables
 
     @pytest.mark.parametrize("transition, holds, forms", [
         ([[0.5, 0.5], [0.5, 0.5]], [True, False, True], 2),

@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from nlsthermo import response
@@ -16,9 +16,11 @@ from nlsthermo.core import (
     LevelSystem,
     TransitionMatrix,
     certify_gibbs_matrix,
+    gibbs_log_weights,
     make_gibbs_state,
 )
-from nlsthermo.fluctuation import _beta_slopes, grid_pass, heat_and_entropy_change
+from nlsthermo.fluctuation import (_beta_slopes, _marginal_changes, grid_pass,
+                                   heat_and_entropy_change)
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.response import (
     clausius_equality_residual,
@@ -31,7 +33,6 @@ from nlsthermo.response import (
     slope_numeric,
     slope_suite,
     slope_symmetrized,
-    weak_coupling_residual,
 )
 from nlsthermo.spinboson import spin1_gibbs_matrix
 from strategies import (EXACT_CASES, exact_gibbs, ladder_instances, metropolis_entries,
@@ -282,7 +283,7 @@ class TestFixedPointZeros:
 
 def heat_support(G):
     """(F, dQ, max |dQ|) on the support of the fixed-point joint F."""
-    joint, dq, _, _ = response._heat_cumulants(G)
+    joint, dq = response._heat_table(G)
     f, heat = joint[joint > 0.0], dq[joint > 0.0]
     return f, heat, float(np.abs(heat).max())
 
@@ -381,9 +382,9 @@ class TestBatchedCumulantDeviation:
 
     def test_suite_builds_the_heat_table_once(self, monkeypatch):
         calls = []
-        heat_cumulants = response._heat_cumulants
-        monkeypatch.setattr(response, "_heat_cumulants",
-                            lambda G: calls.append(G) or heat_cumulants(G))
+        heat_table = response._heat_table
+        monkeypatch.setattr(response, "_heat_table",
+                            lambda G: calls.append(G) or heat_table(G))
         G = random_gibbs_instance(8, 0)
         cumulant_suite(G)
         assert calls == [G]
@@ -566,8 +567,82 @@ class TestExactCumulantReference:
             assert abs(computed[name] - exact) <= CUMULANT_ROUNDING * UNIT_ROUNDOFF * magnitude, name
 
 
+def exact_residual(M, system, beta, eps):
+    """sum_m p_m phi(x_m), x = eps delta / p, phi(x) = (1 + x) log1p(x) - x,
+    at 40 digits, with p the exact Gibbs state at ``beta`` and delta = M p - p
+    from M's double entries, and the magnitude S the double computation
+    rounds: the sum itself, delta's rounding (each p_n off by about
+    u (1 + log d_n + |beta E_n| + |log Z|) relative, the parts
+    :func:`gibbs_log_weights` subtracts) times |dR/d delta_m| = eps
+    |log1p x_m|, p_m's own times |dR/dp_m| = |log1p x_m - x_m|, and, where
+    |x| > 0.1, the two logs of q (log q - log p): (value, S)."""
+    with mpmath.workdps(40):
+        t = [[mpmath.mpf(float(x)) for x in row] for row in M.entries]
+        p, eps = exact_gibbs(system, mpmath.mpf(beta)), mpmath.mpf(eps)
+        levels = range(len(p))
+        log_z = mpmath.log(mpmath.fsum(int(d) * mpmath.exp(-beta * mpmath.mpf(float(e)))
+                                       for e, d in zip(system.energies, system.degeneracies)))
+        blur = [w * (1 + mpmath.log(int(d)) + abs(beta * mpmath.mpf(float(e))) + abs(log_z))
+                for w, e, d in zip(p, system.energies, system.degeneracies)]
+        value = size = mpmath.mpf(0)
+        for m in levels:
+            x = eps * (mpmath.fsum(t[m][n] * p[n] for n in levels) - p[m]) / p[m]
+            log1p = mpmath.log1p(x)
+            term = p[m] * ((1 + x) * log1p - x)
+            value += term
+            size += (term + eps * abs(log1p) * (mpmath.fsum(t[m][n] * blur[n] for n in levels)
+                                                + blur[m])
+                     + abs(log1p - x) * blur[m])
+            if abs(x) > 0.1:
+                size += (1 + x) * p[m] * (abs(mpmath.log((1 + x) * p[m])) + abs(mpmath.log(p[m])))
+        return float(value), float(size)
+
+
+#: c in the c u S budget of the residual against its 40-digit value; the 28
+#: exact cases reach 0.87 (ladder-2, beta = -1, eps = 0.1, where |x| just
+#: passes 0.1) and the underflowing weight 0.38
+RESIDUAL_ROUNDING = 2
+
+
+def leading_term_gaps(M, system, beta):
+    """At eps = eps* {1e-1, 1e-2, 1e-3}, capped at 1, with eps* = min p / |delta|
+    over delta = M p - p and p the Gibbs state at ``beta``:
+    (|R / ((1/2) eps^2 chi^2) - 1|, r / (3 (1 - r))) per eps, r = eps / eps*,
+    chi^2 = sum delta^2 / p, R = :func:`clausius_equality_residual`.  None
+    where a weight with delta != 0 lies below tiny / u (so at 0 too): there
+    eps* is 0, or the leading term leaves the normal range."""
+    log_p, _ = gibbs_log_weights(system, beta)
+    p = np.exp(log_p)
+    delta = M.entries @ p - p
+    moved = delta != 0.0
+    if np.any(p[moved] < np.finfo(float).tiny / UNIT_ROUNDOFF):
+        return None
+    eps_star = float(np.min(p[moved] / np.abs(delta[moved]), initial=math.inf))
+    gaps = []
+    for scale in (1e-1, 1e-2, 1e-3):
+        eps = min(1.0, scale * eps_star)
+        step = eps * delta[moved]
+        leading = 0.5 * float(np.sum(step * (step / p[moved])))
+        residual = clausius_equality_residual(M, system, beta, eps)
+        if leading == 0.0:  # delta is 0 on every level
+            assert residual == 0.0
+            continue
+        r = eps / eps_star
+        gaps.append((abs(residual / leading - 1.0), r / (3.0 * (1.0 - r))))
+    return gaps
+
+
+#: c in the c u allowance of the leading-term law; 7256 family draws reach 2.0
+LEADING_ROUNDING = 4
+
+#: c in the c u S budget of the residual at eps = 1 against beta <dE> - <dS>
+#: of the scalar route and of the grid; 7256 family draws reach 0.26
+SCALAR_ROUNDING = 1
+
+
 class TestWeakCoupling:
-    """The family T = (1 - eps) 1 + eps M of a transition matrix M."""
+    """The family T = (1 - eps) 1 + eps M of a transition matrix M, whose
+    residual beta <dE> - <dS> is KL(T p || p) = (1/2) eps^2 chi^2 (1 + theta)."""
 
     def test_zero_eps_gives_zero_residual(self):
         M = random_stochastic(4, 0)
@@ -577,9 +652,8 @@ class TestWeakCoupling:
     def test_identity_matrix_gives_zero_residuals(self):
         M = TransitionMatrix(np.eye(3))
         system = LevelSystem([0.0, 0.5, 1.0], [1, 1, 1])
-        fit = weak_coupling_residual(M, system, beta=0.7, eps_list=EPS_GRID)
-        assert fit.residuals == (0.0,) * len(EPS_GRID)
-        assert fit.exponent == math.inf
+        assert [clausius_equality_residual(M, system, 0.7, eps)
+                for eps in EPS_GRID] == [0.0] * len(EPS_GRID)
 
     def test_the_whole_unit_range_is_admissible(self):
         M = random_stochastic(5, 7)
@@ -595,24 +669,84 @@ class TestWeakCoupling:
                            match=re.escape(f"eps must lie in [0, 1]; got eps={eps!r}")):
             clausius_equality_residual(M, system, 0.6, eps)
 
-    def test_fit_names_an_eps_above_one(self):
-        M = random_stochastic(4, 11)
-        system = LevelSystem(np.linspace(-1, 1, 4), np.ones(4, dtype=np.int64))
-        with pytest.raises(InvalidInputError, match=re.escape("got eps=1.5")):
-            weak_coupling_residual(M, system, 0.6, (1e-3, 1.5))
+    def test_sizes_must_match(self):
+        system = LevelSystem(np.linspace(-1, 1, 3), np.ones(3, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="sizes differ"):
+            clausius_equality_residual(random_stochastic(4, 11), system, 0.6, 0.1)
 
     def test_residual_scales_quadratically(self):
+        """The exact coefficient: |R / ((1/2) eps^2 chi^2) - 1| <= r / (3 (1 - r))."""
         rng = np.random.default_rng(123)
         for k in range(8):
             n = 2 + k % 5
             M = random_stochastic(n, 800 + k)
             system = LevelSystem(rng.uniform(-1, 1, n), np.ones(n, dtype=np.int64))
-            beta = float(rng.uniform(0.2, 1.0))
-            fit = weak_coupling_residual(M, system, beta, EPS_GRID)
-            assert 1.9 <= fit.exponent <= 2.1
+            for gap, bound in leading_term_gaps(M, system, float(rng.uniform(0.2, 1.0))):
+                assert gap <= bound + LEADING_ROUNDING * UNIT_ROUNDOFF
 
-    def test_fit_needs_positive_eps(self):
-        M = random_stochastic(3, 1)
-        system = LevelSystem([0.0, 0.5, 1.0], [1, 1, 1])
-        with pytest.raises(InvalidInputError):
-            weak_coupling_residual(M, system, 0.5, (0.0, 0.1))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_underflowing_gibbs_weight_keeps_its_term(self):
+        # p_2 = e^-1000 is 0 in doubles while delta_2 > 0: the term
+        # q (log q - log p) - eps delta reads log p from the log weights
+        M = random_stochastic(3, 5)
+        system = LevelSystem([0.0, 0.5, 1000.0], [1, 1, 1])
+        assert make_gibbs_state(system, 1.0).weights[2] == 0.0
+        assert clausius_equality_residual(M, system, 1.0, 0.1) == pytest.approx(
+            18.759011427078, rel=1e-12, abs=0.0)
+        residual = clausius_equality_residual(M, system, 1.0, 1e-9)
+        exact, size = exact_residual(M, system, 1.0, 1e-9)
+        assert 0.0 < residual < math.inf
+        assert abs(residual - exact) <= RESIDUAL_ROUNDING * UNIT_ROUNDOFF * size
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(instance=st.one_of(random_instances(), spin1_instances(), metropolis_instances(),
+                              ladder_instances(), thermal_instances()),
+           k=st.floats(-3.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_residual_is_the_upper_clausius_slack_and_meets_its_leading_term(self, instance, k):
+        """M = T of a family draw and beta = k beta0: R >= 0; at eps = 1, R is
+        beta <dE> - <dS> of the scalar route and of the grid, less their
+        column-sum defect term (1 - log Z) sum (q - p), within c u S; the
+        leading-term law where no weight underflows (hypothesis statistics
+        give the share that does).  Each weight carries a relative error of
+        about u L, L = 1 + max (log d + |beta E|) + |log Z|, the parts
+        :func:`gibbs_log_weights` subtracts, and each route multiplies it by
+        the logs it forms: S = L sum (p + q)(1 + log d + |beta E| + |log p|
+        + |log q|)."""
+        system, raw, beta0 = instance
+        _, G = certify_gibbs_matrix(raw, system, beta0)
+        assume(G is not None)
+        beta = k * beta0
+        residual = clausius_equality_residual(G.matrix, system, beta, 1.0)
+        assert residual >= 0.0
+        log_p, log_z = gibbs_log_weights(system, beta)
+        p = np.exp(log_p)
+        q = G.matrix.entries @ p
+        defect = (1.0 - log_z) * (float(np.sum(q)) - float(np.sum(p)))
+        log_q = np.log(q, out=np.zeros(q.shape), where=q > 0.0)
+        parts = np.log(system.degeneracy_weights()) + np.abs(beta * system.energies)
+        size = (1.0 + float(np.max(parts)) + abs(log_z)) * float(
+            np.sum((p + q) * (1.0 + parts - log_p - log_q)))
+        de, ds = _marginal_changes(G.matrix, system, beta)
+        grid = grid_pass(G, [beta])
+        for route in (beta * de - ds, float(grid.betas[0] * grid.dq[0] - grid.ds[0])):
+            assert abs(residual - (route - defect)) <= SCALAR_ROUNDING * UNIT_ROUNDOFF * size
+        gaps = leading_term_gaps(G.matrix, system, beta)
+        event(f"a Gibbs weight underflows: {gaps is None}")
+        for gap, bound in gaps or ():
+            assert gap <= bound + LEADING_ROUNDING * UNIT_ROUNDOFF
+
+
+class TestExactResidualReference:
+    """The residual against its 40-digit value on the 28 exact cases, M = T,
+    beta in {-beta0, 0, beta0/2, 2 beta0}, eps from 1 down to 1e-12: within
+    2 u S, S carrying the rounding of delta = M p - p itself."""
+
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_residual_lies_within_rounding_of_its_exact_value(self, build):
+        G = build()
+        for beta in (-G.beta0, 0.0, G.beta0 / 2, 2 * G.beta0):
+            for eps in (1.0, 1e-1, 1e-3, 1e-6, 1e-9, 1e-12):
+                residual = clausius_equality_residual(G.matrix, G.system, beta, eps)
+                exact, size = exact_residual(G.matrix, G.system, beta, eps)
+                assert abs(residual - exact) <= RESIDUAL_ROUNDING * UNIT_ROUNDOFF * size, (beta, eps)

@@ -1,12 +1,18 @@
-"""Rewrite ``verdicts.json``, the verdict table of 43 ``verify`` commands.
+"""Rewrite ``verdicts.json``, the verdict table of 51 ``verify`` commands.
 
 The commands are ``verify --random N --seed s --steps 2001`` for
 N in {3, 5, 8, 16, 32, 48, 96} and s in 0-3, ``verify --example spin1
 --beta0 b`` at ten b from 1e-6 to 50, four wide grids, and ``verify --input``
-of ``random-32-1-x2p20.json``: the N = 32, seed 1 instance with energies
-x 2^20 and beta0 / 2^20, where a cumulant line in inverse energy units once
-wrote NaN.  Each runs in this process, from the repository root so that the
-input path reads the same on every checkout, under ``error::RuntimeWarning``;
+of nine instance files.  ``random-32-1-x2p20.json`` is the N = 32, seed 1
+instance with energies x 2^20 and beta0 / 2^20, where a cumulant line in
+inverse energy units once wrote NaN.  ``random-8-0-offset{+,-}1e6.json`` is
+``gen 8 --seed 0`` with every energy + c, and
+``random-8-0-scaled-offset{+,-}{30,1e3,1e6}.json`` the same with its
+transition matrix x (1 + 0.9e-12) too, so that its columns miss 1 within
+the column-sum tolerance: each exited 1 while beta * E products and heats
+were formed from the input's energy zero.  Each runs in this process, from
+the repository root so that the input path reads the same on every
+checkout, under ``error::RuntimeWarning``;
 the table keeps its argv, its exit code, the sha256 of its report and every
 line's label, ``holds``, lhs and rhs.  ``tests/test_verdicts.py`` checks the
 table.
@@ -36,8 +42,12 @@ ROOT = TABLE.parents[2]
 SPIN1_BETA0 = ("1e-6", "1e-3", "0.01", "0.1", "0.5", "1", "2", "5", "10", "50")
 
 
+def _data(name: str) -> str:
+    return TABLE.with_name(name).relative_to(ROOT).as_posix()
+
+
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of the 43 commands, in table order; an input path is
+    """(name, argv) of the commands, in table order; an input path is
     relative to the repository root."""
     cases = [(f"r{n}/s{s}", ["--random", str(n), "--seed", str(s), "--steps", "2001"])
              for n in (3, 5, 8, 16, 32, 48, 96) for s in range(4)]
@@ -51,9 +61,13 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--beta-min=-1e4", "--beta-max=1e4"]),
         ("spin1@5 ±1e300", ["--example", "spin1", "--beta0", "5", *wide,
                             "--beta-min=-1e300", "--beta-max=1e300"]),
-        ("r32/s1 E×2^20", ["--input", TABLE.with_name("random-32-1-x2p20.json")
-                           .relative_to(ROOT).as_posix(), *wide]),
+        ("r32/s1 E×2^20", ["--input", _data("random-32-1-x2p20.json"), *wide]),
     ]
+    cases += [(f"r8/s0 E{c}", ["--input", _data(f"random-8-0-offset{c}.json"), *wide])
+              for c in ("+1e6", "-1e6")]
+    cases += [(f"r8/s0 T×(1+0.9e-12) E{c}",
+               ["--input", _data(f"random-8-0-scaled-offset{c}.json"), *wide])
+              for c in ("+30", "-30", "+1e3", "-1e3", "+1e6", "-1e6")]
     return [(name, ["verify", *argv]) for name, argv in cases]
 
 

@@ -1,6 +1,6 @@
-"""The verdict table ``tests/data/verdicts.json``: 42 ``verify`` commands
-run in process, each exit code and line verdict as recorded, each lhs and
-rhs within rounding of it.  ``tests/data/write_verdicts.py`` rewrites the
+"""The verdict table ``tests/data/verdicts.json``: the ``verify`` commands
+of ``tests/data/write_verdicts.py`` run in process, each exit code and line
+verdict as recorded, each lhs and rhs within rounding of it.  ``tests/data/write_verdicts.py`` rewrites the
 table; a change that moves a verdict rewrites it in the same commit."""
 
 import importlib.util

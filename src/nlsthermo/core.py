@@ -276,37 +276,56 @@ class InequalityReport:
 # construction and propagation
 # ---------------------------------------------------------------------------
 
+def _from_reference(energies: np.ndarray, beta=None):
+    """(E - E_ref, E_ref) for the one energy zero E_ref of every beta * E and
+    every heat: min E for heats (``beta`` None) and for Gibbs scores at beta
+    >= 0, max E below, the end a row favours, so no score -beta (E_n - E_ref)
+    is positive.  An input level: on dyadic energies an offset c drops out of
+    (E_n + c) - (E_ref + c) exactly.  Betas give a row each, or one shared."""
+    low = energies.min()
+    if beta is None:
+        return energies - low, low
+    negative = beta < 0.0
+    ref = np.where(negative, energies.max(), low)
+    shared = np.count_nonzero(negative) in (0, beta.size)
+    return energies - (ref[:1, None] if shared else ref[:, None]), ref
+
+
 def gibbs_log_weights(system: LevelSystem, beta):
     """Log-probabilities log p_n and log partition function log Z at inverse
-    temperature ``beta``, a float or a 1-D array of betas.
-
-    An array gives one row of log-probabilities per beta and an array of
-    log Z; a float gives one row and a float.  Each row is shifted by its
-    maximum exponent before exponentiating, so large ``|beta * E_n|``
-    neither overflows nor loses the normalization, and a row is bit for bit
-    the same whether its beta comes alone or in an array.  An exponent
-    below the double range is a weight of 0, but a row whose largest one
-    leaves it raises :class:`EvaluationError` naming its beta.
-    """
+    temperature ``beta``, a float or a 1-D array of betas (a row and a log Z
+    each, bit for bit the same alone or in an array).  The scores s_n =
+    log d_n - beta (E_n - E_ref) of :func:`_from_reference` cannot overflow
+    upward; with t the top one and R the sum over n != t of e^{s_n - s_t},
+    log p_n = (s_n - s_t) - log1p(R), so log p_t is exact to a few ulps, and
+    log Z = s_t + log1p(R) - beta E_ref.  A score below the double range is a
+    weight of 0; a log Z outside it raises EvaluationError naming its beta."""
     beta = _float_array(beta, "beta")
-    if not np.all(np.isfinite(beta)):
-        raise InvalidInputError("beta must be finite")
-    with np.errstate(over="ignore"):
-        scores = np.log(system.degeneracy_weights()) - beta[..., None] * system.energies
-        shift = scores.max(axis=-1, keepdims=True)
-        if not np.isfinite(shift).all():
-            bad = float(np.atleast_1d(beta)[np.argmin(np.isfinite(shift[..., 0]))])
-            raise EvaluationError(f"the Gibbs exponent leaves the double range at beta={bad!r}")
-        log_z = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
-        return scores - log_z, float(log_z[0]) if beta.ndim == 0 else log_z[..., 0]
+    betas = beta.reshape(-1)
+    centred, ref = _from_reference(system.energies, betas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.log(system.degeneracy_weights()) - betas[:, None] * centred
+        top = np.arange(betas.size), scores.argmax(axis=1)
+        shift = scores[top]
+        scores -= shift[:, None]
+        rest = np.exp(scores)
+        rest[top] = 0.0
+        log1p = np.log1p(rest.sum(axis=1))
+        log_z = shift + log1p - betas * ref
+    if not np.isfinite(log_z).all():  # as a non-finite beta makes it
+        if not np.isfinite(betas).all():
+            raise InvalidInputError("beta must be finite")
+        bad = float(betas[np.argmin(np.isfinite(log_z))])
+        raise EvaluationError(f"the Gibbs exponent leaves the double range at beta={bad!r}")
+    scores -= log1p[:, None]
+    return (scores[0], float(log_z[0])) if beta.ndim == 0 else (scores, log_z)
 
 
 def make_gibbs_state(system: LevelSystem, beta: float) -> ProbabilityVector:
     """Gibbs state p_n = d_n exp(-beta E_n) / Z at a float ``beta``.  Any
     finite beta is admissible, including negative inverse temperatures;
     log Z is in :func:`gibbs_log_weights`."""
-    log_p, _ = gibbs_log_weights(system, beta)
-    w = np.exp(log_p)
+    w = np.exp(gibbs_log_weights(system, beta)[0])
     return ProbabilityVector(w / w.sum())
 
 
@@ -403,15 +422,17 @@ _PHI_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(16, 1, -1)])
 def _termwise_kl(p: np.ndarray, log_p: np.ndarray, step: np.ndarray) -> float:
     """sum_m p_m phi(step_m / p_m), phi(x) = (1 + x) log1p(x) - x >= 0, which is
     S(p + step || p) - sum step: phi's series where |x| <= 0.1 (the first term
-    left out is below u / 10), else q (log q - log p) - step with q = p + step
-    and the caller's ``log_p``, finite where p underflows to 0."""
+    left out is below u / 10), else q log(q / p) - step, q = p + step, log(q/p)
+    = log1p(x) where p is normal, else log q - the caller's ``log_p`` (finite)."""
     far = np.abs(step) > 0.1 * p
     near = ~far & (p > 0.0)  # a zero weight under a zero step adds 0
     x = step[near] / p[near]
-    q = p[far] + step[far]
-    log_q = np.log(q, out=np.zeros(q.shape), where=q > 0.0)  # 0 log 0 = 0
-    return float(np.sum(step[near] * x * np.polyval(_PHI_SERIES, x))
-                 + np.sum(q * (log_q - log_p[far]) - step[far]))
+    series = np.sum(step[near] * x * np.polyval(_PHI_SERIES, x))
+    p, step, q = p[far], step[far], p[far] + step[far]
+    log_ratio = np.log(q, out=np.zeros(q.shape), where=q > 0.0) - log_p[far]  # 0 log 0 = 0
+    normal = (p >= np.finfo(float).tiny) & (q > 0.0)
+    log_ratio[normal] = np.log1p(step[normal] / p[normal])
+    return float(series + np.sum(q * log_ratio - step))
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,13 @@ The certification of a Gibbs matrix carries both J-equations: at every
 beta the heat value is p @ rho (p_n e^{(beta-beta0) E_n} = p0_n Z(beta0) /
 Z(beta)) and the general value with ptilde = q is sum_n p_n (column sum)_n,
 convex combinations, so the fixed-point and column-sum lines bound |J - 1|
-on every grid.  :func:`grid_pass` evaluates the lines the
-inequalities need (<dQ>, <dS>, both KL sides) over a beta grid as arrays, a
-block of beta rows at a time; :func:`inequality_suite` reduces them to
-worst-case reports.  It is the one evaluator of a Gibbs matrix's per-beta
-values (the sweep and ``slope_numeric`` read its rows too); the exact
-beta-derivatives, which the tangent at beta0 and the entropy argmax read,
-come from :func:`_beta_slopes`.  The scalar per-beta functions
-(:func:`heat_and_entropy_change`, :func:`clausius_bounds`, ...) are the
-grid's reference, and
-:func:`j_heat_expectation` and :func:`general_j_expectation`, the
-J-equations' double sums, are the reference for the certified bounds.
+on every grid.  :func:`grid_pass`, the one evaluator of a Gibbs matrix's
+per-beta values, forms the lines the inequalities need (<dQ>, <dS>, both KL
+sides) a block of beta rows at a time, and :func:`inequality_suite` reduces
+them to worst-case reports; :func:`_beta_slopes` forms their exact
+beta-derivatives.  Both read the rows of :func:`_gibbs_rows`.  The scalar
+per-beta functions (:func:`heat_and_entropy_change`, ...) are the grid's
+reference, and the J-equations' double sums that of the certified bounds.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from .core import (
     ProbabilityVector,
     TransitionMatrix,
     _float_array,
+    _from_reference,
     _weights_of,
     entropy,
     gibbs_log_weights,
@@ -168,8 +165,8 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     Equals one in real arithmetic for any certified Gibbs matrix.  Each term
     is assembled in log space (log T + log p_n - (beta - beta0)(E_m - E_n))
     and exponentiated individually.  The large exponents of wide sweeps
-    should cancel, but near |beta| = 1e300 their rounding alone can exceed
-    the double range, and the value is then inf (the fixed-point line of
+    should cancel, but near |beta| = 1e300 their rounding alone is far above
+    one, so the value is off by O(1) or inf (the fixed-point line of
     ``G.certification``, which bounds |value - 1| at every beta, is not).
     """
     log_p, _ = gibbs_log_weights(G.system, beta)
@@ -179,7 +176,7 @@ def j_heat_expectation(G: GibbsMatrix, beta: float) -> float:
     rows, cols = np.nonzero(t_entries > 0.0)
     log_terms = (np.log(t_entries[rows, cols]) + log_p[cols]
                  - dbeta * (energies[rows] - energies[cols]))
-    with np.errstate(over="ignore"):  # rounding near |beta| = 1e300 gives inf
+    with np.errstate(over="ignore"):  # rounding near |beta| = 1e300 may give inf
         return float(np.sum(np.exp(log_terms)))
 
 
@@ -278,32 +275,29 @@ class GridPass:
     kl_before: np.ndarray
 
 
-def grid_pass(G: GibbsMatrix, betas) -> GridPass:
-    """Evaluate the per-point lines of a beta grid, ``BLOCK_ROWS`` rows at a time.
+def _gibbs_rows(G: GibbsMatrix, betas: np.ndarray):
+    """(p, q, log p, log q), the one Gibbs-row kernel: p from one
+    :func:`gibbs_log_weights` call, q = clip(p T^T), 0 log 0 = 0."""
+    p = np.exp(gibbs_log_weights(G.system, betas)[0])
+    q = np.minimum(p @ G.matrix.entries.T, 1.0)  # clip: p and T are nonnegative
+    return p, q, *(np.log(w, out=np.zeros(w.shape), where=w > 0.0) for w in (p, q))
 
-    Each block holds log p (one :func:`gibbs_log_weights` call, whose rows
-    are bit for bit its per-beta values; a non-finite beta raises there), p
-    and q = clip(T p) as rows, and the logs of p and q (0 log 0 = 0), taken
-    once: <dQ>, <dS> and both KL sides are row reductions of them.  log p0
-    and rho = T p0 / p0 come from the certified table ``G.log_p0``,
-    ``G.rho``, so log q0 = log rho + log p0 is finite, and so are both KL
-    sides on every row, where a weight of p or p0 underflows to 0 too.
-    """
+
+def grid_pass(G: GibbsMatrix, betas) -> GridPass:
+    """The per-point lines of a beta grid: <dQ> (E from min E), <dS> and both
+    KL sides, row reductions of :func:`_gibbs_rows`, ``BLOCK_ROWS`` at a time.
+    log q0 = log rho + log p0 comes from the certified ``G.log_p0``, ``G.rho``,
+    so both KL sides are finite on every row, where p or p0 underflows too."""
     betas = _float_array(betas, "betas")
     if betas.ndim != 1:
         raise InvalidInputError("betas must be a 1-D grid")
-    system, t_entries, size = G.system, G.matrix.entries, betas.shape[0]
-    energies, log_d = system.energies, np.log(system.degeneracy_weights())
+    size, log_d = betas.shape[0], np.log(G.system.degeneracy_weights())
+    energies, _ = _from_reference(G.system.energies)
     log_q0 = np.log(G.rho) + G.log_p0  # certified: every rho_m near 1
     dq, ds, kl_after, kl_before = (np.empty(size) for _ in range(4))
     for lo in range(0, size, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        log_p, _ = gibbs_log_weights(system, betas[rows])
-        p = np.exp(log_p)
-        p /= p.sum(axis=1, keepdims=True)
-        q = np.clip(p @ t_entries.T, 0.0, 1.0)
-        # logs of the normalized rows (0 log 0 = 0), read by <dS> and both KL sides
-        log_p, log_q = (np.log(np.where(w > 0.0, w, 1.0)) for w in (p, q))
+        p, q, log_p, log_q = _gibbs_rows(G, betas[rows])
         dq[rows] = q @ energies - p @ energies
         ds[rows] = np.sum(p * (log_p - log_d), axis=1) - np.sum(q * (log_q - log_d), axis=1)
         kl_after[rows] = np.sum(q * (log_q - log_q0), axis=1)
@@ -314,20 +308,16 @@ def grid_pass(G: GibbsMatrix, betas) -> GridPass:
 def _beta_slopes(G: GibbsMatrix, betas) -> tuple[np.ndarray, np.ndarray]:
     """Exact d(beta <dQ>)/dbeta and d<dS>/dbeta at each beta: with dp = -p (E - <E>)
     the derivative of the Gibbs row p and dq = T dp that of q = T p, they are
-    E.(q - p) + beta E.(dq - dp) and dp.(log p - log d) - dq.(log q - log d)
-    (0 log 0 = 0).  At beta0 both are the tangent slope of linear response."""
+    E.(q - p) + beta E.(dq - dp), E from min E, and dp.(log p - log d) -
+    dq.(log q - log d).  At beta0 both are the tangent slope of linear response."""
     betas = _float_array(betas, "betas")
-    system, t_entries, energies = G.system, G.matrix.entries, G.system.energies
-    log_d = np.log(system.degeneracy_weights())
-    log_p, _ = gibbs_log_weights(system, betas)
-    p = np.exp(log_p)
-    p /= p.sum(axis=-1, keepdims=True)
-    q = np.clip(p @ t_entries.T, 0.0, 1.0)
+    log_d = np.log(G.system.degeneracy_weights())
+    energies, _ = _from_reference(G.system.energies)
+    p, q, log_p, log_q = _gibbs_rows(G, betas)
     dp = -p * (energies - (p @ energies)[..., None])
-    dq = dp @ t_entries.T
-    log_pd, log_qd = (np.log(np.where(w > 0.0, w, 1.0)) - log_d for w in (p, q))
+    dq = dp @ G.matrix.entries.T
     heat = (q - p) @ energies + betas * ((dq - dp) @ energies)
-    return heat, np.sum(dp * log_pd, axis=-1) - np.sum(dq * log_qd, axis=-1)
+    return heat, (dp * (log_p - log_d)).sum(axis=-1) - (dq * (log_q - log_d)).sum(axis=-1)
 
 
 def _worst(label: str, betas: np.ndarray, lhs, rhs) -> InequalityReport:

@@ -37,6 +37,7 @@ from .core import (
     TransitionMatrix,
     _expectation_sum,
     _float_array,
+    _from_reference,
     _termwise_kl,
     delta_q_table,
     gibbs_log_weights,
@@ -66,8 +67,8 @@ NONNEG_TOL = 1e-10
 
 
 def slope_direct(G: GibbsMatrix) -> float:
-    """Tangent slope as the double sum over the stationary flow."""
-    energies = G.system.energies
+    """Tangent slope as the double sum over the stationary flow, E from min E."""
+    energies, _ = _from_reference(G.system.energies)
     gap = energies[None, :] - energies[:, None]
     return G.beta0 * float(np.sum(
         G.matrix.entries * (G.fixed_point.weights * energies)[None, :] * gap))
@@ -217,12 +218,10 @@ def clausius_equality_residual(M: TransitionMatrix, system: LevelSystem,
     (1 + x) log1p(x) - x: (1/2) eps^2 chi^2(delta || p) (1 + theta), |theta|
     <= r / (3 (1 - r)), r = eps / eps* < 1, eps* = min p / |delta|, so the
     Clausius bound is an equality to first order.  Summed term by term by
-    :func:`~nlsthermo.core._termwise_kl`: phi's series where |eps delta / p|
-    <= 0.1, else q (log q - log p) - eps delta with log p from
+    :func:`~nlsthermo.core._termwise_kl`, with log p from
     :func:`~nlsthermo.core.gibbs_log_weights`, finite where p underflows.
     This Bregman sum leaves out the O(eps * column-sum defect) term (1 - log
-    Z) eps sum_n (column sum_n - 1) p_n that the scalar route S(q) - S(p) -
-    beta (E.q - E.p) keeps."""
+    Z) eps sum_n (column sum_n - 1) p_n that the scalar route keeps."""
     eps, beta = float(eps), float(beta)
     if not 0.0 <= eps <= 1.0:
         raise InvalidInputError(f"eps must lie in [0, 1]; got eps={eps!r}")

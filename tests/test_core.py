@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,9 +43,13 @@ from nlsthermo.fluctuation import grid_pass
 from nlsthermo.genrand import random_gibbs_instance, random_stochastic
 from nlsthermo.response import cumulant_deviation
 from nlsthermo.spinboson import spin1_gibbs_matrix, spin1_level_system
+from strategies import EXACT_CASES
 
 
 EPS = np.finfo(float).eps
+
+#: unit roundoff of a double
+UNIT_ROUNDOFF = EPS / 2
 
 
 def uniform_system(n):
@@ -253,6 +258,49 @@ class TestGibbsState:
             lhs = entropy(system, p)
             rhs = beta * mean_energy(system, p) + gibbs_log_weights(system, beta)[1]
             assert abs(lhs - rhs) <= 1e-12
+
+
+def log_weight_errors(system, beta):
+    """|log p_n - exact| / u of :func:`gibbs_log_weights` against 40 digits,
+    |score_n - score_s| of each level, and the top level s."""
+    log_p, _ = gibbs_log_weights(system, beta)
+    with mpmath.workdps(40):
+        scores = [mpmath.log(int(d)) - mpmath.mpf(beta) * mpmath.mpf(float(e))
+                  for e, d in zip(system.energies, system.degeneracies)]
+        top = max(range(system.size), key=scores.__getitem__)
+        log_z = scores[top] + mpmath.log(mpmath.fsum(mpmath.exp(x - scores[top])
+                                                     for x in scores))
+        errors = [float(abs(mpmath.mpf(float(x)) - (y - log_z))) / UNIT_ROUNDOFF
+                  for x, y in zip(log_p, scores)]
+        return errors, [float(abs(x - scores[top])) for x in scores], top
+
+
+#: c in the c u (1 + |score_n - score_s|) bound on each log weight; the exact
+#: cases reach 1.7 (6.5 while log Z was subtracted from every score)
+LOG_WEIGHT_ROUNDING = 3
+
+
+class TestGibbsLogWeightAccuracy:
+    """log p_s of the top level s is -log1p(rest), with rest summed without
+    its own 1, so it stays within 4 u of its exact value, and every other
+    level within c u (1 + |score_n - score_s|), the rounding of its score."""
+
+    @pytest.mark.parametrize("beta", [-5.0, 3.0])
+    def test_dominant_weight_of_a_metropolis_draw_to_four_ulps(self, beta):
+        # log p_0 at beta = -5 is -7e-13; subtracting a rounded log Z from
+        # its score left it 5.9 u off
+        system = LevelSystem([10.19, 4.32, 0.66, 0.26], [1, 4, 3, 4])
+        errors, _, top = log_weight_errors(system, beta)
+        assert errors[top] <= 4.0
+
+    @pytest.mark.parametrize("build", EXACT_CASES)
+    def test_every_level_lies_within_the_rounding_of_its_score(self, build):
+        G = build()
+        for beta in (-G.beta0, 0.0, G.beta0 / 2, 2 * G.beta0):
+            errors, gaps, top = log_weight_errors(G.system, beta)
+            assert errors[top] <= 4.0, beta
+            for error, gap in zip(errors, gaps):
+                assert error <= LOG_WEIGHT_ROUNDING * (1.0 + gap), beta
 
 
 # ---------------------------------------------------------------------------

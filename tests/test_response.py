@@ -434,12 +434,15 @@ def exact_slopes(G, beta=None):
     energies, degeneracies, beta0 and ``beta`` (default beta0) taken as
     exact, and the sum of the magnitudes of the operands it adds:
     {route: (value, magnitude)}.  The three closed forms are at beta0, the
-    two derivative columns of ``_beta_slopes`` at ``beta``.  Where a route
+    two derivative columns of ``_beta_slopes`` at ``beta``.  The heat
+    routes read energies from min E, the zero that defines <dQ>, so their
+    column-sum defect term is the one the code keeps.  Where a route
     subtracts (q - p, dq - dp, E - <E>) the operands count, a log p counts
     as |log d| + |beta E| + |log Z|, its parts, and a log q as |log q|."""
     with mpmath.workdps(50):
         t = [[mpmath.mpf(float(x)) for x in row] for row in G.matrix.entries]
         e = [mpmath.mpf(float(x)) for x in G.system.energies]
+        low = min(e)
         d = [int(x) for x in G.system.degeneracies]
         levels, beta0 = range(len(e)), mpmath.mpf(G.beta0)
         beta = beta0 if beta is None else mpmath.mpf(beta)
@@ -452,12 +455,12 @@ def exact_slopes(G, beta=None):
         abs_dq = [mpmath.fsum(t[m][n] * abs_dp[n] for n in levels) for m in levels]
         pairs = [(m, n) for m in levels for n in levels]
         # row n, column m of T, as slope_direct sums them
-        direct = [beta0 * t[n][m] * p0[m] * e[m] * (e[m] - e[n]) for n, m in pairs]
+        direct = [beta0 * t[n][m] * p0[m] * (e[m] - low) * (e[m] - e[n]) for n, m in pairs]
         symmetrized = [beta0 / 4 * (t[n][m] * p0[m] + t[m][n] * p0[n]) * (e[m] - e[n]) ** 2
                        for n, m in pairs]
         k1 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) for m, n in pairs)
         k2 = mpmath.fsum(t[m][n] * p0[n] * (e[m] - e[n]) ** 2 for m, n in pairs)
-        heat = mpmath.fsum(e[m] * (q[m] - p[m]) + beta * e[m] * (dq[m] - dp[m])
+        heat = mpmath.fsum((e[m] - low) * (q[m] - p[m] + beta * (dq[m] - dp[m]))
                            for m in levels)
         entropy = mpmath.fsum(dp[m] * (mpmath.log(p[m] / d[m]))
                               - dq[m] * (mpmath.log(q[m] / d[m])) for m in levels)
@@ -706,10 +709,11 @@ class TestWeakCoupling:
     def test_residual_is_the_upper_clausius_slack_and_meets_its_leading_term(self, instance, k):
         """M = T of a family draw and beta = k beta0: R >= 0; at eps = 1, R is
         beta <dE> - <dS> of the scalar route and of the grid, less their
-        column-sum defect term (1 - log Z) sum (q - p), within c u S; the
-        leading-term law where no weight underflows (hypothesis statistics
-        give the share that does).  Each weight carries a relative error of
-        about u L, L = 1 + max (log d + |beta E|) + |log Z|, the parts
+        column-sum defect term (1 - log Z_0) sum (q - p), Z_0 = sum d e^{-beta
+        (E - E_0)} in each route's energy zero E_0 (0 for the scalar route,
+        min E for the grid's <dQ>), within c u S; the leading-term law where
+        no weight underflows (hypothesis statistics give the share that
+        does).  Each weight carries a relative error of about u L, L = 1 + max (log d + |beta E|) + |log Z|, the parts
         :func:`gibbs_log_weights` subtracts, and each route multiplies it by
         the logs it forms: S = L sum (p + q)(1 + log d + |beta E| + |log p|
         + |log q|)."""
@@ -722,14 +726,17 @@ class TestWeakCoupling:
         log_p, log_z = gibbs_log_weights(system, beta)
         p = np.exp(log_p)
         q = G.matrix.entries @ p
-        defect = (1.0 - log_z) * (float(np.sum(q)) - float(np.sum(p)))
+        column_defect = float(np.sum(q)) - float(np.sum(p))
         log_q = np.log(q, out=np.zeros(q.shape), where=q > 0.0)
         parts = np.log(system.degeneracy_weights()) + np.abs(beta * system.energies)
         size = (1.0 + float(np.max(parts)) + abs(log_z)) * float(
             np.sum((p + q) * (1.0 + parts - log_p - log_q)))
         de, ds = _marginal_changes(G.matrix, system, beta)
         grid = grid_pass(G, [beta])
-        for route in (beta * de - ds, float(grid.betas[0] * grid.dq[0] - grid.ds[0])):
+        for route, zero in ((beta * de - ds, 0.0),
+                            (float(grid.betas[0] * grid.dq[0] - grid.ds[0]),
+                             float(system.energies.min()))):
+            defect = (1.0 - log_z - beta * zero) * column_defect
             assert abs(residual - (route - defect)) <= SCALAR_ROUNDING * UNIT_ROUNDOFF * size
         gaps = leading_term_gaps(G.matrix, system, beta)
         event(f"a Gibbs weight underflows: {gaps is None}")
@@ -750,3 +757,15 @@ class TestExactResidualReference:
                 residual = clausius_equality_residual(G.matrix, G.system, beta, eps)
                 exact, size = exact_residual(G.matrix, G.system, beta, eps)
                 assert abs(residual - exact) <= RESIDUAL_ROUNDING * UNIT_ROUNDOFF * size, (beta, eps)
+
+    @pytest.mark.parametrize("x", [0.101, 0.15])
+    def test_a_small_weight_just_past_the_series_keeps_its_digits(self, x):
+        """p_2 = 5e-218 with x_2 = eps delta_2 / p_2 just past the series'
+        0.1: the far branch reads log(q / p) as log1p(x), so the residual is
+        within 1e-13 relative of 40 digits (log q - log p was 2.2e-12 off)."""
+        M = TransitionMatrix([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+        system = LevelSystem([0.0, 1.0, 500.0], [1, 1, 1])
+        p = np.exp(gibbs_log_weights(system, 1.0)[0])
+        eps = x * p[2] / (M.entries @ p - p)[2]
+        exact, _ = exact_residual(M, system, 1.0, eps)
+        assert abs(clausius_equality_residual(M, system, 1.0, eps) - exact) <= 1e-13 * exact

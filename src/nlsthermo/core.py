@@ -14,16 +14,17 @@ The conventions used throughout the package:
 * A "Gibbs matrix" is a left stochastic matrix that holds the Gibbs state at
   the bath inverse temperature ``beta0`` fixed, the only structural
   assumption the inequality checks in :mod:`nlsthermo.fluctuation` rely on.
-  Its rules live here only.  The fixed point is certified relatively:
-  rho = T p0 / p0, one dense sum in log space, has max |rho - 1| <=
+  Its rules live here only, and each runs once: the :class:`TransitionMatrix`
+  constructor forms the sign and column-sum lines, and :class:`GibbsMatrix`
+  adds the fixed-point line, keeps all three and the table (log p0, rho) the
+  grid reads, and does not validate its fixed point again.  That rule is
+  relative: rho = T p0 / p0, one dense sum in log space, has max |rho - 1| <=
   ``FIXED_POINT_TOL`` (so max |T p0 - p0| <= tol too, as p0 <= 1).  At every
   beta that gives |J_heat - 1| <= max |rho - 1|, the column-sum line gives
   |J_general - 1| <= max |column sum - 1| (both J values are convex
-  combinations, so these two lines are the J-equation checks), and, by KL
-  contraction,
+  combinations: these lines are the J-equation checks), and, by KL contraction,
   <dS> - beta0 <dQ> = S(p || p0) - S(q || T p0) - sum_m q_m log rho_m
-  >= -log(1 + tol).  A :class:`GibbsMatrix` is certified once, by its
-  constructor, and keeps the lines and the table (log p0, rho) the grid reads.
+  >= -log(1 + tol).
 
 All values here are immutable after construction and all operations are pure
 functions, so everything is safe to share between threads.
@@ -180,13 +181,15 @@ class TransitionMatrix:
     within ``SUM_TOL``; a broken rule raises :class:`CertificationError`."""
 
     entries: np.ndarray
+    _lines: tuple[InequalityReport, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         t = _square_finite(self.entries)
-        for _, failure in (_sign_rule(t), _column_sum_rule(t)):
-            if failure is not None:
-                raise CertificationError(failure)
+        (column_sum, uneven), (sign, negative) = _column_sum_rule(t), _sign_rule(t)
+        if negative or uneven:  # the sign rule's error first
+            raise CertificationError(negative or uneven)
         object.__setattr__(self, "entries", _freeze(t))
+        object.__setattr__(self, "_lines", (column_sum, sign))
 
     @property
     def size(self) -> int:
@@ -197,9 +200,10 @@ class TransitionMatrix:
 class GibbsMatrix:
     """A transition matrix certified to fix the Gibbs state at ``beta0``.
 
-    Construction certifies once, keeping the report lines of
-    :func:`certify_gibbs_matrix` as ``certification`` and the table ``log_p0``,
-    ``rho`` = T p0 / p0, all read-only; it raises :class:`CertificationError`,
+    Construction adds the fixed-point line to the matrix's column-sum and sign
+    lines and keeps the three (:func:`certify_gibbs_matrix`'s) as
+    ``certification``, the table ``log_p0``, ``rho`` = T p0 / p0, read-only, and
+    ``fixed_point``, not validated again; it raises :class:`CertificationError`,
     naming the level, when ``max |rho - 1|`` is above ``FIXED_POINT_TOL``.
     """
 
@@ -213,13 +217,14 @@ class GibbsMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "beta0", float(self.beta0))
-        rules, log_p0, rho = _certification(self.matrix.entries, self.system, self.beta0)
-        _, failure = rules[1]  # the transition matrix holds the other two
+        (line, failure), log_p0, rho = _certification(self.matrix.entries, self.system, self.beta0)
         if failure is not None:
             raise CertificationError(f"{failure} at beta0={self.beta0!r}")
-        w = np.exp(log_p0)
-        object.__setattr__(self, "fixed_point", ProbabilityVector(w / w.sum()))
-        object.__setattr__(self, "certification", tuple(line for line, _ in rules))
+        w = np.exp(log_p0)  # valid by construction: exp of finite log weights, normalized
+        object.__setattr__(self, "fixed_point", object.__new__(ProbabilityVector))
+        object.__setattr__(self.fixed_point, "weights", _freeze(w / w.sum()))
+        column_sum, sign = self.matrix._lines
+        object.__setattr__(self, "certification", (column_sum, line, sign))
         object.__setattr__(self, "log_p0", _freeze(log_p0))
         object.__setattr__(self, "rho", _freeze(rho))
 
@@ -483,12 +488,12 @@ def _square_finite(entries) -> np.ndarray:
 
 
 # the Gibbs-matrix rules: each returns its report line, value <= bound with no
-# slack (NaN fails), and, when it breaks, an error that opens with its label
+# slack (NaN fails), and, only when it breaks, an error: its label, then why()
 
-def _rule_line(label: str, value: float, bound: float, why: str):
+def _rule_line(label: str, value: float, bound: float, why):
     holds = value <= bound
     return (InequalityReport(label, value, bound, bound - value, holds),
-            None if holds else f"{label} fails: {why}")
+            None if holds else f"{label} fails: {why()}")
 
 
 def _column_sum_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
@@ -497,14 +502,14 @@ def _column_sum_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
     n = int(np.argmax(np.abs(sums - 1.0)))
     return _rule_line("certification: column-sum deviation <= tol",
                       abs(float(sums[n]) - 1.0), SUM_TOL,
-                      f"column {n} sums to {float(sums[n])!r}, outside 1 +/- {SUM_TOL:g}")
+                      lambda: f"column {n} sums to {float(sums[n])!r}, outside 1 +/- {SUM_TOL:g}")
 
 
 def _sign_rule(t: np.ndarray) -> tuple[InequalityReport, str | None]:
     """-(min entry) <= 0."""
     low = float(t.min())
     return _rule_line("certification: entries nonnegative", -low, 0.0,
-                      f"transition matrix entries must be nonnegative, got {low!r}")
+                      lambda: f"transition matrix entries must be nonnegative, got {low!r}")
 
 
 def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray, beta0: float) -> np.ndarray:
@@ -523,19 +528,18 @@ def _fixed_point_ratio(t: np.ndarray, log_p0: np.ndarray, beta0: float) -> np.nd
 
 
 def _certification(t: np.ndarray, system: LevelSystem, beta0: float):
-    """The one certification of square finite matrix ``t``: each rule's
-    (line, error or None) in report order (column sum, fixed point with
-    max |rho - 1| <= ``FIXED_POINT_TOL``, sign), and the table (log p0, rho)."""
+    """The fixed-point rule of square finite matrix ``t``, max |rho - 1| <=
+    ``FIXED_POINT_TOL``: its (line, error or None) and the table (log p0, rho)."""
     if t.shape[0] != system.size:
         raise InvalidInputError("matrix and level system sizes differ")
     log_p0, _ = gibbs_log_weights(system, beta0)
     rho = _fixed_point_ratio(t, log_p0, beta0)
     m = int(np.argmax(np.abs(rho - 1.0)))
     worst = abs(float(rho[m]) - 1.0)
-    fixed_point = _rule_line(
+    return _rule_line(
         "certification: fixed-point ratio max |rho - 1| <= tol", worst, FIXED_POINT_TOL,
-        f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}")
-    return (_column_sum_rule(t), fixed_point, _sign_rule(t)), log_p0, rho
+        lambda: f"|rho - 1| = {worst:.3e} at level m={m} exceeds {FIXED_POINT_TOL:g}"
+    ), log_p0, rho
 
 
 def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
@@ -550,7 +554,8 @@ def certify_gibbs_matrix(matrix, system: LevelSystem, beta0: float
                         else TransitionMatrix(matrix), system, beta0)
     except CertificationError:  # only a failure pays for forming the lines again
         t = matrix.entries if isinstance(matrix, TransitionMatrix) else _square_finite(matrix)
-        return [line for line, _ in _certification(t, system, float(beta0))[0]], None
+        rules = _column_sum_rule(t), _certification(t, system, float(beta0))[0], _sign_rule(t)
+        return [line for line, _ in rules], None
     return list(G.certification), G
 
 

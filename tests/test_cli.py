@@ -617,17 +617,35 @@ class TestFixedPointTable:
             "sweep-example"])
     def test_each_command_forms_rho_once(self, argv, tmp_path, monkeypatch, capsys):
         """rho once, in the constructor (for --random, at generation); the
-        heat table once for the slope suite and once for the cumulant suite."""
+        heat table once for the slope suite and once for the cumulant suite;
+        the column-sum and sign rules once per transition matrix constructed
+        (every draw of --random included) and never in a Gibbs matrix."""
         gen6 = str(tmp_path / "gen6.json")
         assert run_cli("gen", "6", "--out", gen6) == 0
         calls = []
-        for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_table")):
+        rules = ("_column_sum_rule", "_sign_rule")
+        for module, name in ((core, "_fixed_point_ratio"), (response, "_heat_table"),
+                             *((core, rule) for rule in rules)):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
                                 calls.append(_name) or _original(*args))
+        for cls in (core.TransitionMatrix, core.GibbsMatrix):
+            def post_init(self, _name=cls.__name__, _original=cls.__post_init__):
+                calls.append(_name)
+                try:
+                    _original(self)
+                finally:
+                    calls.append("end " + _name)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
         assert run_cli(*(arg.format(gen6=gen6) for arg in argv)) == 0
         heat_tables = 2 if argv[0] == "verify" else 0
-        assert sorted(calls) == ["_fixed_point_ratio"] + ["_heat_table"] * heat_tables
+        assert calls.count("_fixed_point_ratio") == 1
+        assert calls.count("_heat_table") == heat_tables
+        matrices = calls.count("TransitionMatrix")
+        assert matrices >= 1 and calls.count("GibbsMatrix") == 1
+        assert calls.count("_column_sum_rule") == calls.count("_sign_rule") == matrices
+        gibbs = calls[calls.index("GibbsMatrix"):calls.index("end GibbsMatrix")]
+        assert not set(rules) & set(gibbs)
 
     @pytest.mark.parametrize("transition, holds, forms", [
         ([[0.5, 0.5], [0.5, 0.5]], [True, False, True], 2),

@@ -625,6 +625,24 @@ class TestCertification:
         with pytest.raises(AttributeError):
             G.certification = ()
 
+    @pytest.mark.parametrize("build", [lambda: random_gibbs_instance(8, 0),
+                                       lambda: spin1_gibbs_matrix(1.0)],
+                             ids=["random-8-0", "spin1-1"])
+    def test_the_certified_fixed_point_is_not_validated_again(self, build, monkeypatch):
+        """Constructing a Gibbs matrix validates no ProbabilityVector: its
+        fixed point is exp(log_p0) normalized, bit for bit, and read-only."""
+        G = build()
+        validated = []
+        original = ProbabilityVector.__post_init__
+        monkeypatch.setattr(ProbabilityVector, "__post_init__",
+                            lambda self: validated.append(1) or original(self))
+        G = GibbsMatrix(G.matrix, G.system, G.beta0)
+        assert validated == []
+        w = np.exp(G.log_p0)
+        assert G.fixed_point.weights.tobytes() == (w / w.sum()).tobytes()
+        with pytest.raises(ValueError):
+            G.fixed_point.weights[0] = 0.0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_negative_entry_gives_the_finite_fixed_point_line(self):
         """The negative entry adds exactly 0 to rho: a finite line, its value
